@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use ba_core::auth::{Auth, Evidence};
+use ba_core::auth::Auth;
 use ba_core::cert::{
     AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
 };
@@ -129,12 +129,9 @@ impl CertForger {
     /// starting material for the forgery shapes below, and the quorum body
     /// of the forged `Terminate` when the protocol runs aggregate-encoded.
     fn aggregate_commits(&self, tag: &MineTag, refs: &[CommitRef]) -> Option<AggregateQuorum> {
-        let n = self.auth.aggregation_domain()?;
-        let mut sorted: Vec<&CommitRef> = refs.iter().collect();
-        sorted.sort_by_key(|r| r.from.0);
-        let claims: Vec<(NodeId, &Evidence)> = sorted.iter().map(|r| (r.from, &r.ev)).collect();
-        let agg = self.auth.aggregate(tag, &claims)?;
-        Some(AggregateQuorum { n, signers: sorted.iter().map(|r| r.from).collect(), agg })
+        let mut sorted = refs.to_vec();
+        sorted.sort_by_key(|r| r.from);
+        self.auth.aggregate_quorum(tag, &sorted)
     }
 
     /// Tries the certificate shapes that only the aggregate encoding could

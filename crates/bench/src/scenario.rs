@@ -826,9 +826,9 @@ impl Scenario {
         &self,
         _seed: u64,
         quorum: Option<usize>,
-        make: impl FnOnce(Box<dyn DynAdversary<M>>) -> Runnable,
+        make: impl FnOnce(Box<dyn Adversary<M> + Send>) -> Runnable,
     ) -> Runnable {
-        let adv: Box<dyn DynAdversary<M>> = match self.adversary {
+        let adv: Box<dyn Adversary<M> + Send> = match self.adversary {
             AdversarySpec::Passive => Box::new(Passive),
             AdversarySpec::CommitteeEraser => Box::new(CommitteeEraser::new()),
             AdversarySpec::StarveQuorum => Box::new(CommitteeEraser::starve_quorum(
@@ -1041,75 +1041,6 @@ impl Scenario {
         record.push_flag("honest_starved", honest_eligible < quorum);
         record.push_flag("terminate_mute", !any_terminator);
         ScenarioRun { record, report: None, verdict: None }
-    }
-}
-
-/// Object-safe adversary bridge: the family-agnostic strategies are built
-/// as boxed trait objects so one constructor covers every message type.
-trait DynAdversary<M: ba_sim::Message>: Send {
-    fn setup_dyn(&mut self, ctx: &mut AdvCtx<'_, M>);
-    fn filter_dyn(
-        &mut self,
-        node: NodeId,
-        inbox: Vec<ba_sim::Incoming<M>>,
-        round: ba_sim::Round,
-    ) -> Vec<ba_sim::Incoming<M>>;
-    fn outbox_dyn(
-        &mut self,
-        node: NodeId,
-        planned: Vec<(ba_sim::Recipient, M)>,
-        round: ba_sim::Round,
-    ) -> Vec<(ba_sim::Recipient, M)>;
-    fn intervene_dyn(&mut self, ctx: &mut AdvCtx<'_, M>);
-}
-
-impl<M: ba_sim::Message, A: Adversary<M> + Send> DynAdversary<M> for A {
-    fn setup_dyn(&mut self, ctx: &mut AdvCtx<'_, M>) {
-        self.setup(ctx)
-    }
-    fn filter_dyn(
-        &mut self,
-        node: NodeId,
-        inbox: Vec<ba_sim::Incoming<M>>,
-        round: ba_sim::Round,
-    ) -> Vec<ba_sim::Incoming<M>> {
-        self.filter_corrupt_inbox(node, inbox, round)
-    }
-    fn outbox_dyn(
-        &mut self,
-        node: NodeId,
-        planned: Vec<(ba_sim::Recipient, M)>,
-        round: ba_sim::Round,
-    ) -> Vec<(ba_sim::Recipient, M)> {
-        self.corrupt_outbox(node, planned, round)
-    }
-    fn intervene_dyn(&mut self, ctx: &mut AdvCtx<'_, M>) {
-        self.intervene(ctx)
-    }
-}
-
-impl<M: ba_sim::Message> Adversary<M> for Box<dyn DynAdversary<M>> {
-    fn setup(&mut self, ctx: &mut AdvCtx<'_, M>) {
-        (**self).setup_dyn(ctx)
-    }
-    fn filter_corrupt_inbox(
-        &mut self,
-        node: NodeId,
-        inbox: Vec<ba_sim::Incoming<M>>,
-        round: ba_sim::Round,
-    ) -> Vec<ba_sim::Incoming<M>> {
-        (**self).filter_dyn(node, inbox, round)
-    }
-    fn corrupt_outbox(
-        &mut self,
-        node: NodeId,
-        planned: Vec<(ba_sim::Recipient, M)>,
-        round: ba_sim::Round,
-    ) -> Vec<(ba_sim::Recipient, M)> {
-        (**self).outbox_dyn(node, planned, round)
-    }
-    fn intervene(&mut self, ctx: &mut AdvCtx<'_, M>) {
-        (**self).intervene_dyn(ctx)
     }
 }
 

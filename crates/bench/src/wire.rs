@@ -494,10 +494,19 @@ fn dec_scenario(v: &Json) -> Result<Scenario, WireError> {
             })
         }
     };
+    // Every engine asserts `f < n`; a descriptor that breaks it must be
+    // refused here, in band, not panic the worker that executes it.
+    let (n, f) = (dec_usize(obj, "n")?, dec_usize(obj, "f")?);
+    if f >= n {
+        return Err(WireError::Invalid {
+            field: "f",
+            detail: format!("corruption budget {f} must leave one honest node of n = {n}"),
+        });
+    }
     Ok(Scenario {
         label: dec_str(obj, "label")?,
-        n: dec_usize(obj, "n")?,
-        f: dec_usize(obj, "f")?,
+        n,
+        f,
         model,
         inputs: dec_inputs(obj)?,
         adversary: dec_adversary(obj)?,
@@ -1025,22 +1034,30 @@ mod tests {
             scenario: Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)
                 .inputs(InputPattern::Unanimous(true)),
         };
-        // A served cell, a refusable line (id present, bad scenario), and a
-        // blank line to skip.
+        // A served cell, a blank line to skip, and two refusable lines (id
+        // present, bad scenario): an unknown protocol, and a well-formed
+        // descriptor whose corruption budget leaves no honest node.
         let bad = encode_descriptor(&CellDescriptor { id: 7, ..desc.clone() })
             .replace("quadratic_half", "martian_protocol");
-        let input = format!("{}\n\n{}\n", encode_descriptor(&desc), bad);
+        let all_corrupt = encode_descriptor(&CellDescriptor {
+            id: 8,
+            scenario: Scenario::new("c", 3, ProtocolSpec::QuadraticHalf).f(5),
+            ..desc.clone()
+        });
+        let input = format!("{}\n\n{}\n{}\n", encode_descriptor(&desc), bad, all_corrupt);
         let mut out = Vec::new();
         let code = worker_loop(input.as_bytes(), &mut out, None);
         assert_eq!(code, 0, "clean EOF");
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 2);
+        assert_eq!(lines.len(), 3);
         assert!(matches!(decode_reply(lines[0]), Ok(WorkerReply::Result { id: 0, .. })));
-        let Ok(WorkerReply::Refusal { id, error }) = decode_reply(lines[1]) else {
-            panic!("expected a refusal, got {:?}", lines[1]);
-        };
-        assert_eq!(id, 7);
-        assert!(error.contains("martian_protocol"));
+        for (line, refused, names) in [(lines[1], 7, "martian_protocol"), (lines[2], 8, "\"f\"")] {
+            let Ok(WorkerReply::Refusal { id, error }) = decode_reply(line) else {
+                panic!("expected a refusal, got {line:?}");
+            };
+            assert_eq!(id, refused);
+            assert!(error.contains(names), "{error}");
+        }
         // The served cell's records match an in-process run exactly.
         let Ok(WorkerReply::Result { runs, .. }) = decode_reply(lines[0]) else { unreachable!() };
         let local = Sweep::new("w", 2, vec![desc.scenario]).run(1);

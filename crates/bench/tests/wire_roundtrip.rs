@@ -98,8 +98,10 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
             (label, n, f, protocol, inputs),
             (adversary, model, real, elig_fixed, seed_offset, seeds, sim_threads),
         )| {
+            // The decoder refuses `f >= n` (no honest node left), so stay
+            // inside the wire's domain.
             let mut sc = Scenario::new(label, n, protocol)
-                .f(f)
+                .f(f % n)
                 .model(model)
                 .inputs(inputs)
                 .adversary(adversary)

@@ -21,7 +21,7 @@ use ba_crypto::forward_secure::{
 use ba_fmine::{AggSig, Eligibility, Keychain, MineTag, Sig, Ticket, SIG_BITS, TICKET_BITS};
 use ba_sim::NodeId;
 
-use crate::cert::AggregateQuorum;
+use crate::cert::{AggregateQuorum, CertEncoding, VoteRef};
 
 /// Authentication evidence attached to a protocol message.
 #[derive(Clone, Debug, PartialEq)]
@@ -285,6 +285,20 @@ impl Auth {
         matches!(self, Auth::Signed { .. })
     }
 
+    /// The encoding quorums are actually built with when `requested` is
+    /// asked for: the request itself when the regime can aggregate, else
+    /// [`CertEncoding::Vector`]. Mined tickets prove eligibility and cannot
+    /// be jointly signed, so requesting `aggregate` under a mined regime is
+    /// a silent no-op — the differential suite relies on the fallback being
+    /// byte-identical.
+    pub fn effective_encoding(&self, requested: CertEncoding) -> CertEncoding {
+        if self.supports_aggregation() {
+            requested
+        } else {
+            CertEncoding::Vector
+        }
+    }
+
     /// The signer-bitmap width for aggregate quorums (the enrolled node
     /// count), when this regime supports aggregation.
     pub fn aggregation_domain(&self) -> Option<usize> {
@@ -307,6 +321,16 @@ impl Auth {
             sigs.push((*node, sig));
         }
         keychain.aggregate(&sigs, &tag.to_bytes())
+    }
+
+    /// Compresses a quorum of attestations of `tag`, sorted by node, into an
+    /// [`AggregateQuorum`]. `None` when the regime cannot aggregate or the
+    /// keychain refuses the inputs (see [`Auth::aggregate`]).
+    pub fn aggregate_quorum(&self, tag: &MineTag, refs: &[VoteRef]) -> Option<AggregateQuorum> {
+        let n = self.aggregation_domain()?;
+        let claims: Vec<(NodeId, &Evidence)> = refs.iter().map(|r| (r.from, &r.ev)).collect();
+        let agg = self.aggregate(tag, &claims)?;
+        Some(AggregateQuorum { n, signers: refs.iter().map(|r| r.from).collect(), agg })
     }
 
     /// Verifies an aggregate quorum claim for the statement `tag`: the

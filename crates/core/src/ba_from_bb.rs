@@ -14,11 +14,12 @@ use std::sync::Arc;
 
 use ba_fmine::Keychain;
 use ba_sim::{
-    evaluate, Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round,
-    RunReport, SimConfig, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 use crate::dolev_strong::{DsConfig, DsMsg, DsNode};
+use crate::kernel::{self, Budget};
 use crate::runnable::Runnable;
 
 /// A message of one of the `n` parallel broadcast instances, tagged by the
@@ -122,14 +123,9 @@ pub fn run<A: Adversary<TaggedDsMsg> + Send>(
     inputs: Vec<Bit>,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.max(f as u64 + 4);
-    let inputs_for_factory = inputs.clone();
-    let report = ba_net::execute(&sim_cfg, inputs, adversary, move |id, _seed| {
-        Box::new(ParallelBbNode::new(n, f, id, inputs_for_factory[id.index()], keychain.clone()))
-    });
-    let verdict = evaluate(Problem::Agreement, &report);
-    (report, verdict)
+    let node = move |id, input, _seed| ParallelBbNode::new(n, f, id, input, keychain.clone());
+    let budget = Budget::AtLeast(f as u64 + 4);
+    kernel::run(sim, budget, Problem::Agreement, inputs, adversary, node, None)
 }
 
 /// Packages one BA-from-parallel-BB execution as a thread-dispatchable

@@ -10,11 +10,12 @@ use std::sync::Arc;
 
 use ba_fmine::{Keychain, Sig};
 use ba_sim::{
-    evaluate, Adversary, Bit, BoxedProtocol, Incoming, Message, NodeId, Outbox, Problem, Protocol,
-    Round, RunReport, SimConfig, Verdict,
+    Adversary, Bit, BoxedProtocol, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round,
+    RunReport, SimConfig, Verdict,
 };
 
 use crate::iter::{IterConfig, IterMsg, IterNode};
+use crate::kernel::{self, Budget};
 use crate::runnable::Runnable;
 
 /// Wrapper message: the sender's input multicast, or an inner BA message.
@@ -139,19 +140,17 @@ pub fn run_iter_bb<A: Adversary<BbMsg<IterMsg>> + Send>(
     sender_input: Bit,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.min(cfg.total_rounds() + 4);
     let mut inputs = vec![false; cfg.n];
     inputs[sender.index()] = sender_input;
-    let cfg_for_factory = cfg.clone();
-    let report = ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-        let inner_cfg = cfg_for_factory.clone();
-        Box::new(BbNode::new(id, sender, sender_input, keychain.clone(), move |bit| {
+    let budget = Budget::Cap(cfg.total_rounds() + 4);
+    let cfg = cfg.clone();
+    let node = move |id, _input, seed| {
+        let inner_cfg = cfg.clone();
+        BbNode::new(id, sender, sender_input, keychain.clone(), move |bit| {
             Box::new(IterNode::new(inner_cfg, id, bit, seed))
-        }))
-    });
-    let verdict = evaluate(Problem::Broadcast { sender }, &report);
-    (report, verdict)
+        })
+    };
+    kernel::run(sim, budget, Problem::Broadcast { sender }, inputs, adversary, node, None)
 }
 
 /// Packages one BB-from-iteration-BA execution as a thread-dispatchable

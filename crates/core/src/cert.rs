@@ -18,7 +18,7 @@
 //!   ([`AggregateQuorum`]), O(n + |sig|) bits. Only the signed regime can
 //!   aggregate (tickets prove *eligibility*, which has no joint-signing
 //!   analogue here), so mined configurations silently stay on `Vector` —
-//!   see [`crate::iter::IterConfig::effective_cert_encoding`].
+//!   see [`Auth::effective_encoding`].
 //!
 //! Both encodings answer the same question — "did `quorum` distinct nodes
 //! attest `(Vote, r, b)`?" — and the differential suite in `ba-bench` pins
@@ -60,14 +60,37 @@ impl std::str::FromStr for CertEncoding {
     }
 }
 
-/// One vote inside a certificate: the voter and its evidence for the vote
-/// statement `(Vote, iter, bit)`.
+/// One attestation inside a quorum: the attesting node and its evidence for
+/// the quorum's statement — `(Vote, iter, bit)` inside a certificate,
+/// `(Commit, iter, bit)` inside a commit quorum.
 #[derive(Clone, Debug, PartialEq)]
 pub struct VoteRef {
-    /// The voter.
+    /// The attesting node.
     pub from: NodeId,
-    /// Evidence for `(Vote, iter, bit)`.
+    /// Its evidence for the quorum's statement.
     pub ev: Evidence,
+}
+
+/// One commit reference inside a `Terminate` message: evidence that `from`
+/// sent `(Commit, iter, bit)`.
+pub type CommitRef = VoteRef;
+
+/// Whether `refs` attest `tag` from distinct nodes, each with valid
+/// evidence — the vector-encoded quorum check. All evidence goes through
+/// one [`Auth::verify_batch`] call: one combined multi-exponentiation in
+/// the real-crypto regimes, and O(1) statement-cache hits for evidence this
+/// node has verified before (certificates repeat votes across rounds).
+pub(crate) fn distinct_and_valid(refs: &[VoteRef], tag: MineTag, auth: &Auth) -> bool {
+    let mut seen: Vec<NodeId> = Vec::with_capacity(refs.len());
+    for r in refs {
+        if seen.contains(&r.from) {
+            return false; // duplicate attester
+        }
+        seen.push(r.from);
+    }
+    let claims: Vec<(NodeId, MineTag, &Evidence)> =
+        refs.iter().map(|r| (r.from, tag, &r.ev)).collect();
+    auth.verify_batch(&claims).iter().all(|&ok| ok)
 }
 
 /// A quorum compressed to one aggregate signature plus a signer bitmap —
@@ -149,30 +172,17 @@ impl Certificate {
     /// Verifies the certificate: at least `quorum` votes from distinct nodes,
     /// each attested for `(Vote, iter, bit)`.
     ///
-    /// Vector bodies check all vote evidence in one [`Auth::verify_batch`]
-    /// call — one combined multi-exponentiation in the real-crypto regimes,
-    /// and O(1) statement-cache hits for votes this node has verified before
-    /// (certificates repeat votes across rounds). Aggregate bodies check the
-    /// single aggregate signature against the claimed signer bitmap via
-    /// [`Auth::verify_aggregate`] (Straus fast path + claim cache).
+    /// Vector bodies check all vote evidence in one batch; aggregate
+    /// bodies check the single aggregate signature against the claimed
+    /// signer bitmap via [`Auth::verify_aggregate`] (Straus fast path +
+    /// claim cache).
     pub fn verify(&self, auth: &Auth, quorum: usize) -> bool {
         if self.iter == 0 || self.quorum_len() < quorum {
             return false;
         }
         let tag = MineTag::new(MsgKind::Vote, self.iter, self.bit);
         match &self.body {
-            CertBody::Vector(votes) => {
-                let mut seen: Vec<NodeId> = Vec::with_capacity(votes.len());
-                for vote in votes {
-                    if seen.contains(&vote.from) {
-                        return false; // duplicate voter
-                    }
-                    seen.push(vote.from);
-                }
-                let claims: Vec<(NodeId, MineTag, &Evidence)> =
-                    votes.iter().map(|v| (v.from, tag, &v.ev)).collect();
-                auth.verify_batch(&claims).iter().all(|&ok| ok)
-            }
+            CertBody::Vector(votes) => distinct_and_valid(votes, tag, auth),
             CertBody::Aggregate(q) => auth.verify_aggregate(&tag, q),
         }
     }
@@ -185,16 +195,6 @@ impl Certificate {
         };
         64 + 8 + body
     }
-}
-
-/// One commit reference inside a `Terminate` message: evidence that `from`
-/// sent `(Commit, iter, bit)`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct CommitRef {
-    /// The committing node.
-    pub from: NodeId,
-    /// Evidence for `(Commit, iter, bit)`.
-    pub ev: Evidence,
 }
 
 /// The quorum of commits a `Terminate` message carries, in either encoding.
@@ -228,18 +228,7 @@ impl CommitQuorum {
         }
         let tag = MineTag::new(MsgKind::Commit, iter, bit);
         match self {
-            CommitQuorum::Vector(commits) => {
-                let mut seen: Vec<NodeId> = Vec::with_capacity(commits.len());
-                for c in commits {
-                    if seen.contains(&c.from) {
-                        return false;
-                    }
-                    seen.push(c.from);
-                }
-                let claims: Vec<(NodeId, MineTag, &Evidence)> =
-                    commits.iter().map(|c| (c.from, tag, &c.ev)).collect();
-                auth.verify_batch(&claims).iter().all(|&ok| ok)
-            }
+            CommitQuorum::Vector(commits) => distinct_and_valid(commits, tag, auth),
             CommitQuorum::Aggregate(q) => auth.verify_aggregate(&tag, q),
         }
     }

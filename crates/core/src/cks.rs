@@ -36,8 +36,8 @@
 //! 4. *Lock* — on `n − t` votes `L_p` multicasts the phase certificate.
 //! 5. *CommitVote* — lock adopters unicast a signed commit; on `n − t`
 //!    commits the leader multicasts `Decide` with the commit quorum, and
-//!    receivers decide, relay once, and halt (the gadget shared with
-//!    [`crate::iter`] and [`crate::momose_ren`]).
+//!    receivers decide, relay once, and halt (slots 3–5 are the shared
+//!    kernel's leader-driven tail, as in [`crate::momose_ren`]).
 //!
 //! Safety at `t < n/3`: a certificate takes `n − t` votes, a conflicting
 //! one would need `n − t` more, and `2(n − t) − n ≥ t + 1` nodes would have
@@ -50,24 +50,18 @@ use std::sync::Arc;
 
 use ba_fmine::{Keychain, MineTag, MsgKind, AGG_SIG_BITS};
 use ba_sim::{
-    evaluate, Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round,
-    RunReport, SimConfig, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence};
-use crate::cert::{
-    AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
-};
+use crate::cert::{distinct_and_valid, AggregateQuorum, CertEncoding, Certificate, VoteRef};
+use crate::kernel::{self, Budget, LeaderTail, Pool, QuorumRules, Slot, TailMsg};
 use crate::runnable::Runnable;
 
-/// One verified report evidence inside a vector [`SupportQuorum`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReportRef {
-    /// Reporting node.
-    pub from: NodeId,
-    /// Its evidence over the `(Status, phase, bit)` tag.
-    pub ev: Evidence,
-}
+/// One verified report evidence inside a vector [`SupportQuorum`]: the
+/// reporting node and its evidence over the `(Status, phase, bit)` tag.
+pub type ReportRef = VoteRef;
 
 /// `t + 1` report evidences for one bit — the rank-0 justification that at
 /// least one honest node held the proposed value.
@@ -96,22 +90,13 @@ impl SupportQuorum {
     /// Verifies at least `min` distinct, authentic report evidences for
     /// `(phase, bit)`.
     pub fn verify(&self, phase: u64, bit: Bit, auth: &Auth, min: usize) -> bool {
-        if phase == 0 {
+        if phase == 0 || self.len() < min {
             return false;
         }
         let tag = MineTag::new(MsgKind::Status, phase, bit);
         match self {
-            SupportQuorum::Vector(refs) => {
-                let mut seen: Vec<NodeId> = Vec::with_capacity(refs.len());
-                for r in refs {
-                    if seen.contains(&r.from) || !auth.verify(r.from, &tag, &r.ev) {
-                        return false;
-                    }
-                    seen.push(r.from);
-                }
-                seen.len() >= min
-            }
-            SupportQuorum::Aggregate(q) => q.signers.len() >= min && auth.verify_aggregate(&tag, q),
+            SupportQuorum::Vector(refs) => distinct_and_valid(refs, tag, auth),
+            SupportQuorum::Aggregate(q) => auth.verify_aggregate(&tag, q),
         }
     }
 
@@ -170,68 +155,32 @@ pub enum CksMsg {
         /// Evidence for `(Propose, p, b)`.
         ev: Evidence,
     },
-    /// `(Vote, p, b)` — unicast to `L_p`.
-    Vote {
-        /// Phase.
-        phase: u64,
-        /// Voted bit.
-        bit: Bit,
-        /// Evidence for `(Vote, p, b)`.
-        ev: Evidence,
-    },
-    /// `(Lock, p, b)` — the freshly formed phase certificate.
-    Lock {
-        /// Phase.
-        phase: u64,
-        /// Certified bit.
-        bit: Bit,
-        /// The phase-`p` certificate.
-        cert: Certificate,
-        /// Evidence for `(Ack, p, b)`.
-        ev: Evidence,
-    },
-    /// `(Commit, p, b)` — unicast to `L_p` after adopting the lock.
-    CommitVote {
-        /// Phase.
-        phase: u64,
-        /// Committed bit.
-        bit: Bit,
-        /// Evidence for `(Commit, p, b)`.
-        ev: Evidence,
-    },
-    /// `(Decide, p, b)` — a commit quorum; multicast by the leader, relayed
-    /// once by every decider.
-    Decide {
-        /// Phase whose commits are attached.
-        phase: u64,
-        /// Decided bit.
-        bit: Bit,
-        /// Quorum of commits for `(p, b)`.
-        commits: CommitQuorum,
-        /// Evidence for `(Terminate, b)`.
-        ev: Evidence,
-    },
+    /// Vote, Lock, CommitVote or Decide — the tail shared with Momose–Ren
+    /// (its `view` is this family's phase).
+    Tail(TailMsg),
+}
+
+impl From<TailMsg> for CksMsg {
+    fn from(msg: TailMsg) -> CksMsg {
+        CksMsg::Tail(msg)
+    }
 }
 
 impl Message for CksMsg {
     fn size_bits(&self) -> usize {
-        let header = 8 + 64 + 2;
         match self {
-            CksMsg::Vote { ev, .. } | CksMsg::CommitVote { ev, .. } => header + ev.size_bits(),
-            CksMsg::Report { ev, .. }
-            | CksMsg::Propose { ev, .. }
-            | CksMsg::Lock { ev, .. }
-            | CksMsg::Decide { ev, .. } => header + self.cert_bits() + ev.size_bits(),
+            CksMsg::Report { ev, .. } | CksMsg::Propose { ev, .. } => {
+                8 + 64 + 2 + self.cert_bits() + ev.size_bits()
+            }
+            CksMsg::Tail(msg) => msg.size_bits(),
         }
     }
 
     fn cert_bits(&self) -> usize {
         match self {
-            CksMsg::Vote { .. } | CksMsg::CommitVote { .. } => 0,
             CksMsg::Report { lock, .. } => lock.as_ref().map_or(0, |c| c.size_bits()),
             CksMsg::Propose { just, .. } => just.size_bits(),
-            CksMsg::Lock { cert, .. } => cert.size_bits(),
-            CksMsg::Decide { commits, .. } => commits.size_bits(),
+            CksMsg::Tail(msg) => msg.cert_bits(),
         }
     }
 }
@@ -281,16 +230,12 @@ impl CksConfig {
 
     /// The encoding certificates are actually built with.
     pub fn effective_cert_encoding(&self) -> CertEncoding {
-        if self.auth.supports_aggregation() {
-            self.cert_encoding
-        } else {
-            CertEncoding::Vector
-        }
+        self.auth.effective_encoding(self.cert_encoding)
     }
 
     /// The round-robin leader of `phase` (1-based).
     pub fn leader(&self, phase: u64) -> NodeId {
-        NodeId(((phase - 1) % self.n as u64) as usize)
+        kernel::round_robin_leader(self.n, phase)
     }
 
     /// Synchronous rounds consumed by `phases` phases, with slack for the
@@ -300,324 +245,101 @@ impl CksConfig {
     }
 }
 
-/// Per-phase slot within the 5-round cadence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Slot {
-    Report,
-    Propose,
-    Vote,
-    Lock,
-    CommitVote,
-}
-
-/// Maps a round to its `(phase, slot)`.
-fn schedule(round: u64) -> (u64, Slot) {
-    let phase = 1 + round / 5;
-    let slot = match round % 5 {
-        0 => Slot::Report,
-        1 => Slot::Propose,
-        2 => Slot::Vote,
-        3 => Slot::Lock,
-        _ => Slot::CommitVote,
-    };
-    (phase, slot)
-}
-
 /// One node of the CKS protocol.
 pub struct CksNode {
     cfg: CksConfig,
     id: NodeId,
     /// Current value — starts at the input, adopts justified proposals.
     value: Bit,
-    /// Highest verified certificate per bit.
-    best: [Option<Certificate>; 2],
-    /// Deduplicated verified reports per `(phase, bit)` (leader role).
-    reports: HashMap<(u64, bool), Vec<ReportRef>>,
-    /// Deduplicated valid votes per `(phase, bit)` (leader role).
-    votes: HashMap<(u64, bool), Vec<VoteRef>>,
-    /// Deduplicated valid commits per `(phase, bit)` (leader role).
-    commits: HashMap<(u64, bool), Vec<CommitRef>>,
+    /// Verified reports per `(phase, bit)` (leader role).
+    reports: Pool,
     /// The phase's accepted, justified proposal.
     proposal: HashMap<u64, Bit>,
-    /// Phases this node already voted in.
-    voted: Vec<u64>,
-    /// Phases whose lock this node already commit-voted for.
-    committed: Vec<u64>,
-    /// Phases whose lock certificate this leader already multicast.
-    locked_out: Vec<u64>,
-    /// Lock adopted from this round's inbox; drives the commit vote in the
-    /// same `step` call.
-    pending_commit: Option<(u64, Bit)>,
-    /// Set once a commit quorum was formed or received.
-    decided: Option<(u64, Bit, CommitQuorum)>,
-    output: Option<Bit>,
-    done: bool,
+    /// Lock state, vote/commit tallies and the decide relay.
+    tail: LeaderTail,
 }
 
 impl CksNode {
     /// Creates a node with its input bit (deterministic protocol; the
     /// per-node seed is unused).
     pub fn new(cfg: CksConfig, id: NodeId, input: Bit, _seed: u64) -> CksNode {
+        let rules = QuorumRules::new(&cfg.auth, cfg.quorum, cfg.cert_encoding);
         CksNode {
+            tail: LeaderTail::new(id, cfg.n, rules),
             cfg,
             id,
             value: input,
-            best: [None, None],
-            reports: HashMap::new(),
-            votes: HashMap::new(),
-            commits: HashMap::new(),
+            reports: Pool::default(),
             proposal: HashMap::new(),
-            voted: Vec::new(),
-            committed: Vec::new(),
-            locked_out: Vec::new(),
-            pending_commit: None,
-            decided: None,
-            output: None,
-            done: false,
         }
-    }
-
-    fn adopt_cert(&mut self, cert: &Certificate) {
-        if !cert.verify(&self.cfg.auth, self.cfg.quorum) {
-            return;
-        }
-        let slot = &mut self.best[cert.bit as usize];
-        if Certificate::rank(slot) < cert.iter {
-            *slot = Some(cert.clone());
-        }
-    }
-
-    fn best_rank(&self) -> u64 {
-        Certificate::rank(&self.best[0]).max(Certificate::rank(&self.best[1]))
-    }
-
-    /// `(bit, cert)` of the overall highest certificate; ties prefer 1.
-    fn best_bit(&self) -> Option<(Bit, Certificate)> {
-        let r0 = Certificate::rank(&self.best[0]);
-        let r1 = Certificate::rank(&self.best[1]);
-        if r0 == 0 && r1 == 0 {
-            None
-        } else if r1 >= r0 {
-            Some((true, self.best[1].clone().expect("rank > 0")))
-        } else {
-            Some((false, self.best[0].clone().expect("rank > 0")))
-        }
-    }
-
-    fn aggregate_quorum(
-        &self,
-        tag: &MineTag,
-        refs: &[(NodeId, &Evidence)],
-    ) -> Option<AggregateQuorum> {
-        let n = self.cfg.auth.aggregation_domain()?;
-        let agg = self.cfg.auth.aggregate(tag, refs)?;
-        Some(AggregateQuorum { n, signers: refs.iter().map(|(id, _)| *id).collect(), agg })
-    }
-
-    fn build_certificate(&self, phase: u64, bit: Bit, votes: &[VoteRef]) -> Certificate {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Vote, phase, bit);
-            let refs: Vec<(NodeId, &Evidence)> = votes.iter().map(|v| (v.from, &v.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return Certificate { iter: phase, bit, body: CertBody::Aggregate(q) };
-            }
-        }
-        Certificate::from_votes(phase, bit, votes.to_vec())
-    }
-
-    fn build_commit_quorum(&self, phase: u64, bit: Bit, commits: &[CommitRef]) -> CommitQuorum {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Commit, phase, bit);
-            let refs: Vec<(NodeId, &Evidence)> = commits.iter().map(|c| (c.from, &c.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return CommitQuorum::Aggregate(q);
-            }
-        }
-        CommitQuorum::Vector(commits.to_vec())
-    }
-
-    fn build_support_quorum(&self, phase: u64, bit: Bit, refs: &[ReportRef]) -> SupportQuorum {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Status, phase, bit);
-            let claims: Vec<(NodeId, &Evidence)> = refs.iter().map(|r| (r.from, &r.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &claims) {
-                return SupportQuorum::Aggregate(q);
-            }
-        }
-        SupportQuorum::Vector(refs.to_vec())
     }
 
     fn ingest(&mut self, inbox: &[Incoming<CksMsg>]) {
+        let auth = &self.cfg.auth;
         for m in inbox {
             match &*m.msg {
                 CksMsg::Report { phase, bit, lock, ev } => {
-                    let tag = MineTag::new(MsgKind::Status, *phase, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.reports.admit(auth, (MsgKind::Status, *phase, *bit), m.from, ev) {
                         continue;
                     }
                     if let Some(c) = lock {
-                        self.adopt_cert(c);
-                    }
-                    let pool = self.reports.entry((*phase, *bit)).or_default();
-                    if pool.iter().all(|r| r.from != m.from) {
-                        pool.push(ReportRef { from: m.from, ev: ev.clone() });
+                        self.tail.ledger.adopt(c, &self.tail.rules);
                     }
                 }
                 CksMsg::Propose { phase, bit, just, ev } => {
                     let tag = MineTag::new(MsgKind::Propose, *phase, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) || m.from != self.cfg.leader(*phase)
-                    {
+                    if !auth.verify(m.from, &tag, ev) || m.from != self.cfg.leader(*phase) {
                         continue;
                     }
+                    let ledger = &mut self.tail.ledger;
                     let justified = match just {
+                        // Lock rule: the carried certificate must match or
+                        // beat everything this node saw.
                         Justification::Lock(c) => {
-                            if c.bit != *bit || !c.verify(&self.cfg.auth, self.cfg.quorum) {
-                                false
-                            } else {
-                                self.adopt_cert(c);
-                                // Lock rule: the carried certificate must
-                                // match or beat everything this node saw.
-                                c.iter >= self.best_rank()
-                            }
+                            c.bit == *bit
+                                && ledger.adopt(c, &self.tail.rules)
+                                && c.iter >= ledger.top_rank()
                         }
+                        // Support only justifies when this node has no
+                        // conflicting lock: `t + 1` reports prove an honest
+                        // holder, but a lock proves a possible earlier
+                        // commit and takes precedence.
                         Justification::Support(q) => {
-                            // Support only justifies when this node has no
-                            // conflicting lock: `t + 1` reports prove an
-                            // honest holder, but a lock proves a possible
-                            // earlier commit and takes precedence.
-                            q.verify(*phase, *bit, &self.cfg.auth, self.cfg.support)
-                                && match self.best_bit() {
-                                    None => true,
-                                    Some((b, _)) => b == *bit,
-                                }
+                            q.verify(*phase, *bit, auth, self.cfg.support)
+                                && ledger.best().is_none_or(|c| c.bit == *bit)
                         }
                     };
                     if justified {
                         self.proposal.entry(*phase).or_insert(*bit);
                     }
                 }
-                CksMsg::Vote { phase, bit, ev } => {
-                    let tag = MineTag::new(MsgKind::Vote, *phase, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
-                        continue;
-                    }
-                    let pool = self.votes.entry((*phase, *bit)).or_default();
-                    if pool.iter().all(|v| v.from != m.from) {
-                        pool.push(VoteRef { from: m.from, ev: ev.clone() });
-                    }
-                }
-                CksMsg::Lock { phase, bit, cert, ev } => {
-                    let tag = MineTag::new(MsgKind::Ack, *phase, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev)
-                        || m.from != self.cfg.leader(*phase)
-                        || cert.iter != *phase
-                        || cert.bit != *bit
-                        || !cert.verify(&self.cfg.auth, self.cfg.quorum)
-                    {
-                        continue;
-                    }
-                    self.adopt_cert(cert);
-                    self.value = *bit;
-                    if !self.committed.contains(phase) {
-                        self.committed.push(*phase);
-                        self.pending_commit = Some((*phase, *bit));
-                    }
-                }
-                CksMsg::CommitVote { phase, bit, ev } => {
-                    let tag = MineTag::new(MsgKind::Commit, *phase, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
-                        continue;
-                    }
-                    let pool = self.commits.entry((*phase, *bit)).or_default();
-                    if pool.iter().all(|c| c.from != m.from) {
-                        pool.push(CommitRef { from: m.from, ev: ev.clone() });
-                    }
-                }
-                CksMsg::Decide { phase, bit, commits, ev } => {
-                    let tag = MineTag::terminate(*bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev)
-                        || !commits.verify(*phase, *bit, &self.cfg.auth, self.cfg.quorum)
-                    {
-                        continue;
-                    }
-                    if self.decided.is_none() {
-                        self.decided = Some((*phase, *bit, commits.clone()));
+                CksMsg::Tail(msg) => {
+                    if let Some(bit) = self.tail.ingest(m.from, msg) {
+                        self.value = bit;
                     }
                 }
             }
-        }
-    }
-
-    /// Relays the commit quorum once, outputs, and halts.
-    fn finish(&mut self, out: &mut Outbox<CksMsg>) {
-        let (phase, bit, commits) = self.decided.clone().expect("finish requires a decision");
-        let tag = MineTag::terminate(bit);
-        if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-            out.multicast(CksMsg::Decide { phase, bit, commits, ev });
-        }
-        self.output = Some(bit);
-        self.done = true;
-    }
-
-    /// Leader duty independent of round position: decide as soon as a
-    /// commit quorum exists (commits from phase `p` arrive in phase
-    /// `p + 1`'s first round).
-    fn try_decide_as_leader(&mut self, out: &mut Outbox<CksMsg>) {
-        if self.decided.is_some() {
-            return;
-        }
-        let quorum = self.cfg.quorum;
-        let mine: Vec<(u64, bool)> = self
-            .commits
-            .iter()
-            .filter(|((phase, _), pool)| self.cfg.leader(*phase) == self.id && pool.len() >= quorum)
-            .map(|((phase, bit), _)| (*phase, *bit))
-            .collect();
-        if let Some((phase, bit)) = mine.into_iter().min() {
-            let pool = self.commits.get_mut(&(phase, bit)).expect("quorum pool");
-            pool.sort_by_key(|c| c.from);
-            let refs = pool[..quorum].to_vec();
-            let commits = self.build_commit_quorum(phase, bit, &refs);
-            let tag = MineTag::terminate(bit);
-            if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                out.multicast(CksMsg::Decide { phase, bit, commits: commits.clone(), ev });
-            }
-            self.decided = Some((phase, bit, commits));
-            self.output = Some(bit);
-            self.done = true;
         }
     }
 }
 
 impl Protocol<CksMsg> for CksNode {
     fn step(&mut self, round: Round, inbox: &[Incoming<CksMsg>], out: &mut Outbox<CksMsg>) {
-        if self.done {
+        if self.tail.relay.done() {
             return;
         }
-        self.pending_commit = None;
         self.ingest(inbox);
-        if self.decided.is_some() {
-            self.finish(out);
+        if self.tail.settle(out) {
             return;
         }
-        self.try_decide_as_leader(out);
-        if self.done {
-            return;
-        }
-        if let Some((phase, bit)) = self.pending_commit.take() {
-            let tag = MineTag::new(MsgKind::Commit, phase, bit);
-            if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                out.unicast(self.cfg.leader(phase), CksMsg::CommitVote { phase, bit, ev });
-            }
-        }
-        let (phase, slot) = schedule(round.0);
+        let (phase, slot) = kernel::view_slot(round.0);
         if phase > self.cfg.phases {
             return;
         }
         match slot {
-            Slot::Report => {
+            Slot::Open => {
                 let bit = self.value;
-                let lock = self.best_bit().map(|(_, c)| c);
+                let lock = self.tail.ledger.best().cloned();
                 let tag = MineTag::new(MsgKind::Status, phase, bit);
                 if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
                     out.unicast(self.cfg.leader(phase), CksMsg::Report { phase, bit, lock, ev });
@@ -627,25 +349,26 @@ impl Protocol<CksMsg> for CksNode {
                 if self.cfg.leader(phase) != self.id {
                     return;
                 }
-                let (bit, just) = match self.best_bit() {
-                    Some((b, c)) => (b, Justification::Lock(c)),
+                let (bit, just) = match self.tail.ledger.best() {
+                    Some(c) => (c.bit, Justification::Lock(c.clone())),
                     None => {
                         // Pigeonhole over the quorum of reports: with
                         // `n − t ≥ 2t + 1` reports, some bit has `t + 1`.
                         // Prefer the better-supported bit; ties prefer 1.
-                        let count = |b: bool| self.reports.get(&(phase, b)).map_or(0, |p| p.len());
-                        let (c0, c1) = (count(false), count(true));
-                        let bit = c1 >= c0;
-                        let Some(pool) = self.reports.get_mut(&(phase, bit)) else {
-                            return;
-                        };
-                        if pool.len() < self.cfg.support {
-                            return; // not enough reports: silent phase
-                        }
-                        pool.sort_by_key(|r| r.from);
+                        let bit =
+                            self.reports.count(phase, true) >= self.reports.count(phase, false);
                         let support = self.cfg.support;
-                        let refs = pool[..support].to_vec();
-                        (bit, Justification::Support(self.build_support_quorum(phase, bit, &refs)))
+                        let Some(refs) = self.reports.sorted_quorum_prefix(phase, bit, support)
+                        else {
+                            return; // not enough reports: silent phase
+                        };
+                        let quorum = self.tail.rules.assemble(
+                            (MsgKind::Status, phase, bit),
+                            refs,
+                            SupportQuorum::Vector,
+                            SupportQuorum::Aggregate,
+                        );
+                        (bit, Justification::Support(quorum))
                     }
                 };
                 let tag = MineTag::new(MsgKind::Propose, phase, bit);
@@ -654,9 +377,6 @@ impl Protocol<CksMsg> for CksNode {
                 }
             }
             Slot::Vote => {
-                if self.voted.contains(&phase) {
-                    return;
-                }
                 let Some(bit) = self.proposal.get(&phase).copied() else {
                     return;
                 };
@@ -664,66 +384,40 @@ impl Protocol<CksMsg> for CksNode {
                 // when the phase fails to certify, and is safe because a
                 // justification implies at least one honest holder.
                 self.value = bit;
-                self.voted.push(phase);
-                let tag = MineTag::new(MsgKind::Vote, phase, bit);
-                if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                    out.unicast(self.cfg.leader(phase), CksMsg::Vote { phase, bit, ev });
-                }
+                self.tail.vote(phase, bit, out);
             }
             Slot::Lock => {
-                if self.cfg.leader(phase) != self.id || self.locked_out.contains(&phase) {
-                    return;
-                }
-                let quorum = self.cfg.quorum;
-                for bit in [true, false] {
-                    let Some(pool) = self.votes.get_mut(&(phase, bit)) else { continue };
-                    if pool.len() < quorum {
-                        continue;
-                    }
-                    pool.sort_by_key(|v| v.from);
-                    let votes = pool[..quorum].to_vec();
-                    let cert = self.build_certificate(phase, bit, &votes);
-                    let tag = MineTag::new(MsgKind::Ack, phase, bit);
-                    if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                        self.adopt_cert(&cert);
-                        self.value = bit;
-                        self.locked_out.push(phase);
-                        out.multicast(CksMsg::Lock { phase, bit, cert, ev });
-                    }
-                    break;
+                if let Some(bit) = self.tail.lock(phase, out) {
+                    self.value = bit;
                 }
             }
-            Slot::CommitVote => {
-                // Handled by `pending_commit` above.
-            }
+            // The commit vote follows the lock, which arrives in this
+            // round's inbox on the undisturbed schedule (`settle` above).
+            Slot::CommitVote => {}
         }
     }
 
     fn output(&self) -> Option<Bit> {
-        self.output
+        self.tail.relay.output()
     }
 
     fn halted(&self) -> bool {
-        self.done
+        self.tail.relay.done()
     }
 }
 
-/// Runs one execution and evaluates the agreement verdict.
+/// Runs one execution and evaluates the agreement verdict (signed
+/// full-participation: always the dense engine).
 pub fn run<A: Adversary<CksMsg> + Send>(
     cfg: &CksConfig,
     sim: &SimConfig,
     inputs: Vec<Bit>,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.min(cfg.total_rounds() + 2);
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.clone();
-    let report = ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-        Box::new(CksNode::new(cfg_for_factory.clone(), id, inputs_for_factory[id.index()], seed))
-    });
-    let verdict = evaluate(Problem::Agreement, &report);
-    (report, verdict)
+    let budget = Budget::Cap(cfg.total_rounds() + 2);
+    let cfg = cfg.clone();
+    let node = move |id, input, seed| CksNode::new(cfg.clone(), id, input, seed);
+    kernel::run(sim, budget, Problem::Agreement, inputs, adversary, node, None)
 }
 
 /// Packages one execution as a thread-dispatchable [`Runnable`].
@@ -744,13 +438,6 @@ mod tests {
 
     fn cfg(n: usize, phases: u64, seed: u64) -> CksConfig {
         CksConfig::adaptive(n, phases, Arc::new(Keychain::from_seed(seed, n, SigMode::Ideal)))
-    }
-
-    #[test]
-    fn schedule_mapping() {
-        assert_eq!(schedule(0), (1, Slot::Report));
-        assert_eq!(schedule(4), (1, Slot::CommitVote));
-        assert_eq!(schedule(5), (2, Slot::Report));
     }
 
     #[test]
@@ -817,6 +504,57 @@ mod tests {
     }
 
     #[test]
+    fn step_counts_reports_and_votes_through_the_shared_pool() {
+        // n = 7: quorum 5, support 3; node 0 leads phase 1 (Propose slot =
+        // round 1, Lock slot = round 3).
+        let c = cfg(7, 2, 5);
+        let signed = |from: usize, kind: MsgKind, phase: u64| {
+            c.auth.attest(NodeId(from), &MineTag::new(kind, phase, true)).expect("signed")
+        };
+        let report = |from: usize, claimed: u64, attested: u64| {
+            let ev = signed(from, MsgKind::Status, attested);
+            Incoming::new(
+                NodeId(from),
+                CksMsg::Report { phase: claimed, bit: true, lock: None, ev },
+            )
+        };
+        let vote = |from: usize, claimed: u64, attested: u64| {
+            let ev = signed(from, MsgKind::Vote, attested);
+            Incoming::new(NodeId(from), TailMsg::Vote { view: claimed, bit: true, ev }.into())
+        };
+        let leader_sends = |round: u64, inbox: &[Incoming<CksMsg>]| {
+            let mut leader = CksNode::new(c.clone(), NodeId(0), true, 0);
+            let mut out = Outbox::new();
+            leader.step(Round(round), inbox, &mut out);
+            out.take().pop()
+        };
+        // Reports: one sender three times plus a replayed phase-2 report
+        // are two supporters short of `t + 1 = 3`: a silent phase.
+        let stale = [report(1, 1, 1), report(1, 1, 1), report(1, 1, 1), report(2, 1, 2)];
+        assert!(leader_sends(1, &stale).is_none(), "duplicate reports must not justify");
+        let mut genuine = stale.to_vec();
+        genuine.extend([report(5, 1, 1), report(2, 1, 1)]);
+        let Some((_, CksMsg::Propose { just: Justification::Support(q), .. })) =
+            leader_sends(1, &genuine)
+        else {
+            panic!("three genuine reports must justify a proposal");
+        };
+        assert!(q.verify(1, true, &c.auth, c.support));
+        let SupportQuorum::Vector(refs) = &q else { panic!("vector encoding") };
+        assert_eq!(refs.iter().map(|r| r.from.index()).collect::<Vec<_>>(), [1, 2, 5]);
+        // Votes: four distinct voters padded with duplicates and a replay
+        // stay short of the quorum of five.
+        let mut votes: Vec<_> = (1..5).map(|i| vote(i, 1, 1)).collect();
+        votes.extend([vote(1, 1, 1), vote(4, 1, 1), vote(5, 1, 2), vote(6, 2, 2)]);
+        assert!(leader_sends(3, &votes).is_none(), "duplicate votes must not reach quorum");
+        votes.push(vote(6, 1, 1));
+        assert!(matches!(
+            leader_sends(3, &votes),
+            Some((_, CksMsg::Tail(TailMsg::Lock { view: 1, bit: true, .. })))
+        ));
+    }
+
+    #[test]
     fn support_quorum_rejects_duplicates_and_forgeries() {
         let c = cfg(7, 2, 9);
         let tag = MineTag::new(MsgKind::Status, 1, true);
@@ -856,8 +594,8 @@ mod tests {
             .collect();
         let cert = Certificate::from_votes(1, true, votes);
         let mut node = CksNode::new(c.clone(), NodeId(3), false, 0);
-        node.adopt_cert(&cert);
-        assert_eq!(node.best_rank(), 1);
+        assert!(node.tail.ledger.adopt(&cert, &node.tail.rules));
+        assert_eq!(node.tail.ledger.top_rank(), 1);
         let support_tag = MineTag::new(MsgKind::Status, 2, false);
         let refs: Vec<ReportRef> = (0..c.support)
             .map(|i| {

@@ -16,10 +16,11 @@ use std::sync::Arc;
 
 use ba_fmine::{Keychain, Sig};
 
+use crate::kernel::{self, Budget};
 use crate::runnable::Runnable;
 use ba_sim::{
-    evaluate, Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round,
-    RunReport, SimConfig, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 /// A signature chain entry: the signer and its signature over the value.
@@ -179,17 +180,13 @@ pub fn run<A: Adversary<DsMsg> + Send>(
     sender_input: Bit,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.max(cfg.f as u64 + 3);
     let mut inputs = vec![false; cfg.n];
     inputs[cfg.sender.index()] = sender_input;
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.clone();
-    let report = ba_net::execute(&sim_cfg, inputs, adversary, move |id, _seed| {
-        Box::new(DsNode::new(cfg_for_factory.clone(), id, inputs_for_factory[id.index()]))
-    });
-    let verdict = evaluate(Problem::Broadcast { sender: cfg.sender }, &report);
-    (report, verdict)
+    let (budget, problem) =
+        (Budget::AtLeast(cfg.f as u64 + 3), Problem::Broadcast { sender: cfg.sender });
+    let cfg = cfg.clone();
+    let node = move |id, input, _seed| DsNode::new(cfg.clone(), id, input);
+    kernel::run(sim, budget, problem, inputs, adversary, node, None)
 }
 
 /// Packages one Dolev–Strong broadcast as a thread-dispatchable

@@ -31,18 +31,17 @@
 //! After `R` epochs every node outputs the bit it last acked (its final
 //! `b*`).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use ba_crypto::hmac::HmacDrbg;
-use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind, NeverMine};
+use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind};
 use ba_sim::{
-    evaluate, run_sparse, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message,
-    NodeId, Outbox, PopulationMode, Problem, Protocol, Round, RunReport, SimConfig, SparseSpec,
-    TransportSpec, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence, FsService};
+use crate::kernel::{self, Budget, Pool};
 use crate::runnable::Runnable;
 
 /// Messages of the epoch family.
@@ -160,6 +159,13 @@ impl EpochConfig {
         }
     }
 
+    /// Whether `who` may propose in `epoch`: only node `epoch mod n` under
+    /// the round-robin oracle, anyone under mined self-election (everyone
+    /// attempts; `F_mine` decides).
+    fn may_propose(&self, epoch: u64, who: NodeId) -> bool {
+        self.leader == LeaderMode::Mined || who == NodeId((epoch % self.n as u64) as usize)
+    }
+
     /// Total synchronous rounds an instance runs: two per epoch plus the
     /// final tally/output round.
     pub fn total_rounds(&self) -> u64 {
@@ -222,12 +228,9 @@ impl EpochNode {
                 EpochMsg::Propose { epoch, bit, ev }
                     if kind == MsgKind::Propose && *epoch == expect_epoch =>
                 {
-                    if self.cfg.leader == LeaderMode::RoundRobin
-                        && m.from != NodeId((epoch % self.cfg.n as u64) as usize)
-                    {
-                        return None;
-                    }
-                    Some((m.from, MineTag::new(MsgKind::Propose, *epoch, *bit), ev))
+                    self.cfg
+                        .may_propose(*epoch, m.from)
+                        .then(|| (m.from, MineTag::new(MsgKind::Propose, *epoch, *bit), ev))
                 }
                 EpochMsg::Ack { epoch, bit, ev }
                     if kind == MsgKind::Ack && *epoch == expect_epoch =>
@@ -243,23 +246,15 @@ impl EpochNode {
     /// Tally the previous epoch's acks and update `(belief, sticky)`.
     fn tally_acks(&mut self, epoch: u64, inbox: &[Incoming<EpochMsg>]) {
         self.batch_verify_inbox(inbox, MsgKind::Ack, epoch);
-        let mut voters: [Vec<NodeId>; 2] = [Vec::new(), Vec::new()];
+        let mut acks = Pool::default();
         for m in inbox {
             if let EpochMsg::Ack { epoch: e, bit, ev } = &*m.msg {
-                if *e != epoch {
-                    continue;
-                }
-                let tag = MineTag::new(MsgKind::Ack, *e, *bit);
-                if !self.cfg.auth.verify(m.from, &tag, ev) {
-                    continue;
-                }
-                let bucket = &mut voters[*bit as usize];
-                if !bucket.contains(&m.from) {
-                    bucket.push(m.from);
+                if *e == epoch {
+                    acks.admit_count(&self.cfg.auth, (MsgKind::Ack, *e, *bit), m.from, ev);
                 }
             }
         }
-        let ample = [voters[0].len() >= self.cfg.quorum, voters[1].len() >= self.cfg.quorum];
+        let ample = [false, true].map(|bit| acks.count(epoch, bit) >= self.cfg.quorum);
         match ample {
             [true, false] => {
                 self.belief = false;
@@ -287,10 +282,8 @@ impl EpochNode {
                 if *e != epoch {
                     continue;
                 }
-                if self.cfg.leader == LeaderMode::RoundRobin
-                    && m.from != NodeId((epoch % self.cfg.n as u64) as usize)
-                {
-                    continue; // only the oracle-designated leader may propose
+                if !self.cfg.may_propose(epoch, m.from) {
+                    continue;
                 }
                 let tag = MineTag::new(MsgKind::Propose, *e, *bit);
                 if self.cfg.auth.verify(m.from, &tag, ev) {
@@ -309,11 +302,7 @@ impl EpochNode {
     }
 
     fn try_propose(&mut self, epoch: u64, out: &mut Outbox<EpochMsg>) {
-        let is_candidate = match self.cfg.leader {
-            LeaderMode::RoundRobin => self.id == NodeId((epoch % self.cfg.n as u64) as usize),
-            LeaderMode::Mined => true, // everyone attempts; F_mine decides
-        };
-        if !is_candidate {
+        if !self.cfg.may_propose(epoch, self.id) {
             return;
         }
         let coin = self.coins.next_byte() & 1 == 1;
@@ -374,133 +363,42 @@ impl Protocol<EpochMsg> for EpochNode {
     }
 }
 
-/// Predicts each round's possible speakers for the sparse population
-/// engine. The epoch schedule is rigid — proposals on even rounds, acks on
-/// odd rounds, nothing in the final tally round — so each round probes
-/// exactly the two bit-committees of that round's tag kind via the
-/// eligibility backend's side-effect-free `would_mine` (sharedized when the
-/// regime uses a shared committee, mirroring `attest`). Committees are
-/// memoized per probed tag.
-struct EpochOracle {
-    n: usize,
-    epochs: u64,
-    bit_specific: bool,
-    elig: Arc<dyn Eligibility>,
-    memo: HashMap<MineTag, Vec<NodeId>>,
-}
-
-impl EpochOracle {
-    fn committee(&mut self, tag: MineTag) -> &[NodeId] {
-        let probe = if self.bit_specific { tag } else { tag.sharedized() };
-        let (n, elig) = (self.n, &self.elig);
-        self.memo
-            .entry(probe)
-            .or_insert_with(|| (0..n).map(NodeId).filter(|&i| elig.would_mine(i, &probe)).collect())
+/// Every tag `round`'s schedule lets a node attest (what the sparse
+/// engine's committee oracle probes). The epoch schedule is rigid —
+/// proposals on even rounds, acks on odd rounds, nothing in the final tally
+/// round.
+fn round_tags(round: u64, epochs: u64) -> Vec<MineTag> {
+    if round >= 2 * epochs {
+        return Vec::new();
     }
-}
-
-impl ActivationOracle for EpochOracle {
-    fn candidates(&mut self, round: Round) -> Vec<NodeId> {
-        let r = round.0;
-        if r >= 2 * self.epochs {
-            return Vec::new(); // final tally round: nobody speaks
-        }
-        let epoch = r / 2;
-        let kind = if r.is_multiple_of(2) { MsgKind::Propose } else { MsgKind::Ack };
-        let mut out = Vec::new();
-        for bit in [false, true] {
-            out.extend_from_slice(self.committee(MineTag::new(kind, epoch, bit)));
-        }
-        out
-    }
-}
-
-/// Builds the sparse-engine spec for this configuration, or `None` when it
-/// cannot run sparsely (see [`EpochConfig::supports_sparse`]) so callers
-/// fall back to the dense engine.
-fn sparse_spec(cfg: &EpochConfig, inputs: &[Bit], sim: &SimConfig) -> Option<SparseSpec<EpochMsg>> {
-    if !cfg.supports_sparse() {
-        return None;
-    }
-    let Auth::Mined { elig, bit_specific, keychain } = &cfg.auth else {
-        return None;
-    };
-    // Ghosts can never win a committee seat (NeverMine) but verify exactly
-    // like real nodes, and carry the out-of-range id `n` so any accidental
-    // send is detectable. Their seed only feeds the leader-coin DRBG, whose
-    // draws a never-eligible candidate never exposes.
-    let mut ghost_cfg = cfg.clone();
-    ghost_cfg.auth = Auth::Mined {
-        elig: Arc::new(NeverMine(Arc::clone(elig))),
-        bit_specific: *bit_specific,
-        keychain: keychain.clone(),
-    };
-    let n = cfg.n;
-    let ghost_seed = sim.seed ^ 0x6057_1A5E_1D0C_0DE1;
-    let ghost = |bit: Bit| -> BoxedProtocol<EpochMsg> {
-        Box::new(EpochNode::new(ghost_cfg.clone(), NodeId(n), bit, ghost_seed ^ bit as u64))
-    };
-    let oracle = EpochOracle {
-        n,
-        epochs: cfg.epochs,
-        bit_specific: *bit_specific,
-        elig: Arc::clone(elig),
-        memo: HashMap::new(),
-    };
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.to_vec();
-    Some(SparseSpec {
-        factory: Box::new(move |id, seed| {
-            Box::new(EpochNode::new(
-                cfg_for_factory.clone(),
-                id,
-                inputs_for_factory[id.index()],
-                seed,
-            ))
-        }),
-        ghosts: [ghost(false), ghost(true)],
-        oracle: Box::new(oracle),
-    })
+    let kind = if round.is_multiple_of(2) { MsgKind::Propose } else { MsgKind::Ack };
+    vec![MineTag::new(kind, round / 2, false), MineTag::new(kind, round / 2, true)]
 }
 
 /// Runs one execution of an epoch-family protocol and evaluates the verdict
 /// for the agreement problem. Honors [`SimConfig::population`]:
-/// sparse-capable configurations run under the sparse engine
-/// (byte-identical report); others silently use the dense engine.
+/// sparse-capable configurations ([`EpochConfig::supports_sparse`]) run
+/// under the sparse engine (byte-identical report); others silently use the
+/// dense engine.
 pub fn run<A: Adversary<EpochMsg> + Send>(
     cfg: &EpochConfig,
     sim: &SimConfig,
     inputs: Vec<Bit>,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.max(cfg.total_rounds() + 1);
-    let spec = match sim_cfg.population {
-        // The sparse engine composes only with the lockstep transport (the
-        // retained multicast history assumes synchronous delivery); other
-        // transports fall back to dense.
-        PopulationMode::Sparse if sim_cfg.transport == TransportSpec::Lockstep => {
-            sparse_spec(cfg, &inputs, &sim_cfg)
-        }
-        _ => None,
+    let (n, epochs) = (cfg.n, cfg.epochs);
+    // A ghost's seed only feeds the leader-coin DRBG, whose draws a
+    // never-eligible candidate never exposes.
+    let ghost = |auth, bit| EpochNode::new(EpochConfig { auth, ..cfg.clone() }, NodeId(n), bit, 0);
+    let sparse = if cfg.supports_sparse() {
+        kernel::committees(&cfg.auth, n, move |round| round_tags(round, epochs), ghost)
+    } else {
+        None
     };
-    let report = match spec {
-        Some(spec) => run_sparse(&sim_cfg, inputs, adversary, spec),
-        None => {
-            let cfg_for_factory = cfg.clone();
-            let inputs_for_factory = inputs.clone();
-            ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-                Box::new(EpochNode::new(
-                    cfg_for_factory.clone(),
-                    id,
-                    inputs_for_factory[id.index()],
-                    seed,
-                ))
-            })
-        }
-    };
-    let verdict = evaluate(Problem::Agreement, &report);
-    (report, verdict)
+    let budget = Budget::AtLeast(cfg.total_rounds() + 1);
+    let cfg = cfg.clone();
+    let node = move |id, input, seed| EpochNode::new(cfg.clone(), id, input, seed);
+    kernel::run(sim, budget, Problem::Agreement, inputs, adversary, node, sparse)
 }
 
 /// Packages one epoch-family execution as a thread-dispatchable
@@ -518,7 +416,7 @@ pub fn runnable<A: Adversary<EpochMsg> + Send + 'static>(
 mod tests {
     use super::*;
     use ba_fmine::{IdealMine, MineParams, SigMode};
-    use ba_sim::{CorruptionModel, Passive};
+    use ba_sim::{CorruptionModel, Passive, PopulationMode};
 
     fn warmup_cfg(n: usize, epochs: u64) -> EpochConfig {
         EpochConfig::warmup_third(n, epochs, Arc::new(Keychain::from_seed(1, n, SigMode::Ideal)))
@@ -549,23 +447,30 @@ mod tests {
             Incoming::new(NodeId(from), EpochMsg::Ack { epoch: claimed_epoch, bit, ev })
         };
         let mut node = EpochNode::new(cfg.clone(), NodeId(0), false, 0);
+        // Round 4 opens epoch 2 and tallies epoch 1's acks through the
+        // shared pool (node 0 does not lead epoch 2, so it sends nothing).
+        let tally = |node: &mut EpochNode, inbox: &[Incoming<EpochMsg>]| {
+            let mut out = Outbox::new();
+            node.step(Round(4), inbox, &mut out);
+            assert!(out.is_empty());
+        };
         // A full quorum of acks for bit 1, all claiming epoch 2 while the
         // node tallies epoch 1: cross-epoch, must not count.
         let cross: Vec<_> = (0..4).map(|i| mk_ack(i, 2, 2, true)).collect();
-        node.tally_acks(1, &cross);
+        tally(&mut node, &cross);
         assert!(!node.sticky && !node.belief, "cross-epoch acks must not reach quorum");
         // Evidence attested under epoch 0's tag replayed with an epoch-1
         // claim: the signature check must fail.
         let stale: Vec<_> = (0..4).map(|i| mk_ack(i, 1, 0, true)).collect();
-        node.tally_acks(1, &stale);
+        tally(&mut node, &stale);
         assert!(!node.sticky && !node.belief, "replayed evidence must not reach quorum");
         // One sender repeated four times: dedup keeps it a single vote.
         let dup: Vec<_> = (0..4).map(|_| mk_ack(3, 1, 1, true)).collect();
-        node.tally_acks(1, &dup);
+        tally(&mut node, &dup);
         assert!(!node.sticky, "duplicate voters must not reach quorum");
         // The genuine quorum for the same epoch does flip the belief.
         let good: Vec<_> = (0..quorum).map(|i| mk_ack(i, 1, 1, true)).collect();
-        node.tally_acks(1, &good);
+        tally(&mut node, &good);
         assert!(node.sticky && node.belief, "a genuine quorum must be counted");
     }
 

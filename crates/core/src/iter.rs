@@ -35,17 +35,15 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ba_crypto::hmac::HmacDrbg;
-use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind, NeverMine};
+use ba_fmine::{Eligibility, Keychain, MineTag, MsgKind};
 use ba_sim::{
-    evaluate, run_sparse, ActivationOracle, Adversary, Bit, BoxedProtocol, Incoming, Message,
-    NodeId, Outbox, PopulationMode, Problem, Protocol, Round, RunReport, SimConfig, SparseSpec,
-    TransportSpec, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence};
-use crate::cert::{
-    AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
-};
+use crate::cert::{CertBody, CertEncoding, Certificate, CommitQuorum};
+use crate::kernel::{self, Budget, DecideRelay, Ledger, Pool, QuorumRules};
 use crate::runnable::Runnable;
 
 /// Reference to a leader proposal, attached to votes as justification.
@@ -212,18 +210,10 @@ impl IterConfig {
         self
     }
 
-    /// The encoding certificates are actually built with: the requested
-    /// [`IterConfig::cert_encoding`] when the regime supports aggregation
-    /// ([`Auth::supports_aggregation`]), else [`CertEncoding::Vector`].
-    /// Mined tickets prove eligibility and cannot be jointly signed, so
-    /// requesting `aggregate` under a mined regime is a silent no-op — the
-    /// differential suite relies on the fallback being byte-identical.
+    /// The encoding certificates are actually built with
+    /// ([`Auth::effective_encoding`] of [`IterConfig::cert_encoding`]).
     pub fn effective_cert_encoding(&self) -> CertEncoding {
-        if self.auth.supports_aggregation() {
-            self.cert_encoding
-        } else {
-            CertEncoding::Vector
-        }
+        self.auth.effective_encoding(self.cert_encoding)
     }
 
     /// The oracle's leader for `iter` (oracle mode only).
@@ -238,6 +228,12 @@ impl IterConfig {
             }
             IterLeaderMode::Mined => None,
         }
+    }
+
+    /// Whether `who` may propose in `iter`: only the oracle's leader, or
+    /// anyone under mined self-election (eligibility decides).
+    fn may_propose(&self, iter: u64, who: NodeId) -> bool {
+        self.oracle_leader(iter).is_none_or(|leader| leader == who)
     }
 
     /// Synchronous rounds consumed by `max_iters` iterations.
@@ -287,135 +283,53 @@ pub struct IterNode {
     cfg: IterConfig,
     id: NodeId,
     input: Bit,
+    rules: QuorumRules,
     /// Highest verified certificate per bit.
-    best: [Option<Certificate>; 2],
-    /// Deduplicated valid votes per `(iter, bit)`.
-    votes: HashMap<(u64, bool), Vec<VoteRef>>,
-    /// Deduplicated valid commits per `(iter, bit)`.
-    commits: HashMap<(u64, bool), Vec<CommitRef>>,
-    /// Verified aggregate-encoded commit quorums received in `Terminate`
-    /// messages. An aggregate carries no individual commit evidence to
-    /// record into `commits`, so the quorum itself is kept for relaying.
-    term_quorums: HashMap<(u64, bool), CommitQuorum>,
+    ledger: Ledger,
+    /// Valid votes per `(iter, bit)`.
+    votes: Pool,
+    /// Valid commits per `(iter, bit)`.
+    commits: Pool,
     /// Per-iteration highest proposal rank per bit, `None` = no proposal.
     proposals: HashMap<u64, [Option<u64>; 2]>,
     /// The proposal evidence to attach as vote justification.
     proposal_refs: HashMap<(u64, bool), ProposalRef>,
     coins: HmacDrbg,
-    output: Option<Bit>,
-    done: bool,
-    /// Set when a commit quorum or Terminate message was observed.
-    decided: Option<(u64, Bit)>,
+    /// Decided once a commit quorum or Terminate message was observed.
+    relay: DecideRelay,
 }
 
 impl IterNode {
     /// Creates a node with its input bit and per-node seed.
     pub fn new(cfg: IterConfig, id: NodeId, input: Bit, seed: u64) -> IterNode {
         IterNode {
+            rules: QuorumRules::new(&cfg.auth, cfg.quorum, cfg.cert_encoding),
             cfg,
             id,
             input,
-            best: [None, None],
-            votes: HashMap::new(),
-            commits: HashMap::new(),
-            term_quorums: HashMap::new(),
+            ledger: Ledger::default(),
+            votes: Pool::default(),
+            commits: Pool::default(),
             proposals: HashMap::new(),
             proposal_refs: HashMap::new(),
             coins: HmacDrbg::new(&seed.to_be_bytes(), b"iter-coins"),
-            output: None,
-            done: false,
-            decided: None,
+            relay: DecideRelay::default(),
         }
     }
 
-    fn adopt_cert(&mut self, cert: &Certificate) {
-        if !cert.verify(&self.cfg.auth, self.cfg.quorum) {
-            return;
-        }
-        let slot = &mut self.best[cert.bit as usize];
-        if Certificate::rank(slot) < cert.iter {
-            *slot = Some(cert.clone());
-        }
-    }
-
-    /// `(bit, rank)` of the overall highest certificate, `None` if no
-    /// certificate is known. Ties prefer bit 1 (arbitrary, deterministic).
-    fn best_bit(&self) -> Option<(Bit, u64)> {
-        let r0 = Certificate::rank(&self.best[0]);
-        let r1 = Certificate::rank(&self.best[1]);
-        if r0 == 0 && r1 == 0 {
-            None
-        } else if r1 >= r0 {
-            Some((true, r1))
-        } else {
-            Some((false, r0))
-        }
-    }
-
-    /// Compresses a sorted, deduplicated quorum of evidence into an
-    /// [`AggregateQuorum`] under the effective aggregate encoding.
-    fn aggregate_quorum(
-        &self,
-        tag: &MineTag,
-        refs: &[(NodeId, &Evidence)],
-    ) -> Option<AggregateQuorum> {
-        let n = self.cfg.auth.aggregation_domain()?;
-        let agg = self.cfg.auth.aggregate(tag, refs)?;
-        Some(AggregateQuorum { n, signers: refs.iter().map(|(id, _)| *id).collect(), agg })
-    }
-
-    /// Builds the certificate for a sorted quorum prefix of votes, in the
-    /// effective encoding. Falls back to the vector transcript if
-    /// aggregation unexpectedly fails (it cannot for honest evidence under
-    /// a signed regime, which is the only regime that reaches the
-    /// aggregate arm).
-    fn build_certificate(&self, iter: u64, bit: Bit, votes: &[VoteRef]) -> Certificate {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Vote, iter, bit);
-            let refs: Vec<(NodeId, &Evidence)> = votes.iter().map(|v| (v.from, &v.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return Certificate { iter, bit, body: CertBody::Aggregate(q) };
+    fn record_vote(&mut self, iter: u64, bit: Bit, from: NodeId, ev: &Evidence) {
+        self.votes.insert(iter, bit, from, ev);
+        // A quorum of votes IS a certificate — adopt it immediately.
+        if self.ledger.rank(bit) < iter {
+            if let Some(votes) = self.votes.sorted_quorum_prefix(iter, bit, self.rules.quorum) {
+                self.ledger.install(self.rules.certificate(iter, bit, votes));
             }
         }
-        Certificate::from_votes(iter, bit, votes.to_vec())
     }
 
-    /// Builds the commit quorum for a `Terminate` message from a sorted
-    /// quorum of commit references, in the effective encoding.
-    fn build_commit_quorum(&self, iter: u64, bit: Bit, commits: &[CommitRef]) -> CommitQuorum {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Commit, iter, bit);
-            let refs: Vec<(NodeId, &Evidence)> = commits.iter().map(|c| (c.from, &c.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return CommitQuorum::Aggregate(q);
-            }
-        }
-        CommitQuorum::Vector(commits.to_vec())
-    }
-
-    fn record_vote(&mut self, iter: u64, bit: Bit, from: NodeId, ev: Evidence) {
-        let quorum = self.cfg.quorum;
-        let pool = self.votes.entry((iter, bit)).or_default();
-        if pool.iter().all(|v| v.from != from) {
-            pool.push(VoteRef { from, ev });
-        }
-        // A quorum of votes IS a certificate — adopt it immediately. Sort
-        // the pool in place (order is irrelevant to dedup) and copy only
-        // the quorum prefix instead of cloning the whole pool.
-        if pool.len() >= quorum && Certificate::rank(&self.best[bit as usize]) < iter {
-            pool.sort_by_key(|v| v.from);
-            let votes = pool[..quorum].to_vec();
-            self.best[bit as usize] = Some(self.build_certificate(iter, bit, &votes));
-        }
-    }
-
-    fn record_commit(&mut self, iter: u64, bit: Bit, from: NodeId, ev: Evidence) {
-        let pool = self.commits.entry((iter, bit)).or_default();
-        if pool.iter().all(|c| c.from != from) {
-            pool.push(CommitRef { from, ev });
-        }
-        if self.commits[&(iter, bit)].len() >= self.cfg.quorum && self.decided.is_none() {
-            self.decided = Some((iter, bit));
+    fn record_commit(&mut self, iter: u64, bit: Bit, from: NodeId, ev: &Evidence) {
+        if self.commits.insert(iter, bit, from, ev) >= self.rules.quorum {
+            self.relay.decide(iter, bit, None);
         }
     }
 
@@ -425,13 +339,11 @@ impl IterNode {
             return true; // iteration-1 votes are input votes
         }
         let Some(j) = just else { return false };
-        if let Some(leader) = self.cfg.oracle_leader(iter) {
-            if j.from != leader {
-                return false;
-            }
+        if !self.cfg.may_propose(iter, j.from) {
+            return false;
         }
         let tag = MineTag::new(MsgKind::Propose, iter, bit);
-        self.cfg.auth.verify(j.from, &tag, &j.ev)
+        self.rules.auth.verify(j.from, &tag, &j.ev)
     }
 
     /// Collects every authentication claim an inbox carries — top-level
@@ -440,7 +352,7 @@ impl IterNode {
     /// call. The per-message logic afterwards re-asks the same questions
     /// and hits the services' statement caches.
     fn batch_verify_inbox(&self, inbox: &[Incoming<IterMsg>]) {
-        if !self.cfg.auth.supports_batch() {
+        if !self.rules.auth.supports_batch() {
             return;
         }
         fn push_cert<'a>(claims: &mut Vec<(NodeId, MineTag, &'a Evidence)>, cert: &'a Certificate) {
@@ -456,11 +368,7 @@ impl IterNode {
         for m in inbox {
             match &*m.msg {
                 IterMsg::Status { iter, bit, cert, ev } => {
-                    let tag = match bit {
-                        Some(b) => MineTag::new(MsgKind::Status, *iter, *b),
-                        None => MineTag::bot(MsgKind::Status, *iter),
-                    };
-                    claims.push((m.from, tag, ev));
+                    claims.push((m.from, kernel::status_tag(*iter, *bit), ev));
                     if let Some(c) = cert {
                         push_cert(&mut claims, c);
                     }
@@ -492,7 +400,7 @@ impl IterNode {
                 }
             }
         }
-        let _ = self.cfg.auth.verify_batch(&claims);
+        let _ = self.rules.auth.verify_batch(&claims);
     }
 
     fn ingest(&mut self, inbox: &[Incoming<IterMsg>]) {
@@ -500,38 +408,29 @@ impl IterNode {
         for m in inbox {
             match &*m.msg {
                 IterMsg::Status { iter, bit, cert, ev } => {
-                    let tag = match bit {
-                        Some(b) => MineTag::new(MsgKind::Status, *iter, *b),
-                        None => MineTag::bot(MsgKind::Status, *iter),
-                    };
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.rules.auth.verify(m.from, &kernel::status_tag(*iter, *bit), ev) {
                         continue;
                     }
                     if let (Some(b), Some(c)) = (bit, cert) {
                         if c.bit == *b {
-                            self.adopt_cert(c);
+                            self.ledger.adopt(c, &self.rules);
                         }
                     }
                 }
                 IterMsg::Propose { iter, bit, cert, ev } => {
                     let tag = MineTag::new(MsgKind::Propose, *iter, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.rules.auth.verify(m.from, &tag, ev) {
                         continue;
                     }
-                    if let Some(leader) = self.cfg.oracle_leader(*iter) {
-                        if m.from != leader {
-                            continue;
-                        }
+                    if !self.cfg.may_propose(*iter, m.from) {
+                        continue;
                     }
                     // Rank of the attached certificate; it must certify the
                     // proposed bit and verify, else the proposal counts as
                     // rank 0 (which is still a valid certificate-less
                     // proposal).
                     let rank = match cert {
-                        Some(c) if c.bit == *bit && c.verify(&self.cfg.auth, self.cfg.quorum) => {
-                            self.adopt_cert(c);
-                            c.iter
-                        }
+                        Some(c) if c.bit == *bit && self.ledger.adopt(c, &self.rules) => c.iter,
                         Some(_) => continue, // malformed attachment: drop
                         None => 0,
                     };
@@ -546,90 +445,76 @@ impl IterNode {
                 }
                 IterMsg::Vote { iter, bit, just, ev } => {
                     let tag = MineTag::new(MsgKind::Vote, *iter, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.rules.auth.verify(m.from, &tag, ev) {
                         continue;
                     }
                     if !self.vote_justified(*iter, *bit, just) {
                         continue;
                     }
-                    self.record_vote(*iter, *bit, m.from, ev.clone());
+                    self.record_vote(*iter, *bit, m.from, ev);
                 }
                 IterMsg::Commit { iter, bit, cert, ev } => {
                     let tag = MineTag::new(MsgKind::Commit, *iter, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.rules.auth.verify(m.from, &tag, ev) {
                         continue;
                     }
-                    if cert.iter != *iter
-                        || cert.bit != *bit
-                        || !cert.verify(&self.cfg.auth, self.cfg.quorum)
+                    if (cert.iter, cert.bit) != (*iter, *bit)
+                        || !self.ledger.adopt(cert, &self.rules)
                     {
                         continue;
                     }
-                    self.adopt_cert(cert);
-                    self.record_commit(*iter, *bit, m.from, ev.clone());
+                    self.record_commit(*iter, *bit, m.from, ev);
                 }
                 IterMsg::Terminate { iter, bit, commits, ev } => {
                     let tag = MineTag::terminate(*bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    if !self.rules.auth.verify(m.from, &tag, ev) {
                         continue;
                     }
-                    if !commits.verify(*iter, *bit, &self.cfg.auth, self.cfg.quorum) {
+                    if !commits.verify(*iter, *bit, &self.rules.auth, self.rules.quorum) {
                         continue;
                     }
                     match commits {
                         CommitQuorum::Vector(refs) => {
                             for c in refs {
-                                self.record_commit(*iter, *bit, c.from, c.ev.clone());
+                                self.record_commit(*iter, *bit, c.from, &c.ev);
                             }
+                            self.relay.decide(*iter, *bit, None);
                         }
+                        // No individual evidence to record; the verified
+                        // quorum rides with the decision for relaying.
                         CommitQuorum::Aggregate(_) => {
-                            // No individual evidence to record; keep the
-                            // verified quorum for relaying in `finish`.
-                            self.term_quorums
-                                .entry((*iter, *bit))
-                                .or_insert_with(|| commits.clone());
+                            self.relay.decide(*iter, *bit, Some(commits.clone()));
                         }
-                    }
-                    if self.decided.is_none() {
-                        self.decided = Some((*iter, *bit));
                     }
                 }
             }
         }
     }
 
-    /// Emits `(Terminate, b)`, outputs, and halts.
-    fn finish(&mut self, iter: u64, bit: Bit, out: &mut Outbox<IterMsg>) {
-        let tag = MineTag::terminate(bit);
-        if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-            let mut commits = self.commits.get(&(iter, bit)).cloned().unwrap_or_default();
-            commits.sort_by_key(|c| c.from);
-            commits.truncate(self.cfg.quorum);
-            if commits.len() >= self.cfg.quorum {
-                let quorum = self.build_commit_quorum(iter, bit, &commits);
-                out.multicast(IterMsg::Terminate { iter, bit, commits: quorum, ev });
-            } else if let Some(stashed) = self.term_quorums.get(&(iter, bit)) {
-                // An aggregate-encoded Terminate carried no individual
-                // commit evidence to rebuild a quorum from; relay the
-                // verified quorum as received. (Under vector encoding this
-                // branch is unreachable: ingesting a Terminate records its
-                // commits, so the pool above already holds a quorum.)
-                out.multicast(IterMsg::Terminate { iter, bit, commits: stashed.clone(), ev });
-            }
-        }
-        self.output = Some(bit);
-        self.done = true;
+    /// On a decision: emits `(Terminate, b)` with a commit quorum rebuilt
+    /// from this node's own pool, outputs, and halts. An aggregate-encoded
+    /// Terminate carried no individual commit evidence to rebuild from, so
+    /// its verified quorum is relayed as received. (Under vector encoding
+    /// ingesting a Terminate records its commits, so the pool always holds
+    /// a quorum.)
+    fn finish(&mut self, out: &mut Outbox<IterMsg>) -> bool {
+        let (rules, pool) = (&self.rules, &mut self.commits);
+        let rebuild = |iter, bit| {
+            let commits = pool.sorted_quorum_prefix(iter, bit, rules.quorum)?;
+            Some(rules.commit_quorum(iter, bit, commits))
+        };
+        let terminate = |iter, bit, commits, ev| IterMsg::Terminate { iter, bit, commits, ev };
+        self.relay.finish(self.id, &rules.auth, rebuild, terminate, out)
     }
 }
 
 impl Protocol<IterMsg> for IterNode {
     fn step(&mut self, round: Round, inbox: &[Incoming<IterMsg>], out: &mut Outbox<IterMsg>) {
-        if self.done {
+        if self.relay.done() {
             return;
         }
         self.ingest(inbox);
-        if let Some((iter, bit)) = self.decided {
-            self.finish(iter, bit, out);
+        if self.finish(out) {
             return;
         }
         let (iter, phase) = schedule(round.0);
@@ -638,32 +523,23 @@ impl Protocol<IterMsg> for IterNode {
         }
         match phase {
             Phase::Status => {
-                let (bit, cert) = match self.best_bit() {
-                    Some((b, _)) => (Some(b), self.best[b as usize].clone()),
-                    None => (None, None),
-                };
-                let tag = match bit {
-                    Some(b) => MineTag::new(MsgKind::Status, iter, b),
-                    None => MineTag::bot(MsgKind::Status, iter),
-                };
-                if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
+                let cert = self.ledger.best().cloned();
+                let bit = cert.as_ref().map(|c| c.bit);
+                if let Some(ev) = self.rules.auth.attest(self.id, &kernel::status_tag(iter, bit)) {
                     out.multicast(IterMsg::Status { iter, bit, cert, ev });
                 }
             }
             Phase::Propose => {
-                let is_candidate = match &self.cfg.leader {
-                    IterLeaderMode::Oracle { .. } => self.cfg.oracle_leader(iter) == Some(self.id),
-                    IterLeaderMode::Mined => true,
-                };
-                if !is_candidate {
+                if !self.cfg.may_propose(iter, self.id) {
                     return;
                 }
-                let (bit, cert) = match self.best_bit() {
-                    Some((b, _)) => (b, self.best[b as usize].clone()),
-                    None => (self.coins.next_byte() & 1 == 1, None),
+                let cert = self.ledger.best().cloned();
+                let bit = match &cert {
+                    Some(c) => c.bit,
+                    None => self.coins.next_byte() & 1 == 1,
                 };
                 let tag = MineTag::new(MsgKind::Propose, iter, bit);
-                if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
+                if let Some(ev) = self.rules.auth.attest(self.id, &tag) {
                     out.multicast(IterMsg::Propose { iter, bit, cert, ev });
                 }
             }
@@ -673,10 +549,10 @@ impl Protocol<IterMsg> for IterNode {
                 } else {
                     let ranks = self.proposals.get(&iter).copied().unwrap_or([None, None]);
                     match ranks {
-                        [Some(rank), None] if rank >= Certificate::rank(&self.best[1]) => {
+                        [Some(rank), None] if rank >= self.ledger.rank(true) => {
                             (Some(false), self.proposal_refs.get(&(iter, false)).cloned())
                         }
-                        [None, Some(rank)] if rank >= Certificate::rank(&self.best[0]) => {
+                        [None, Some(rank)] if rank >= self.ledger.rank(false) => {
                             (Some(true), self.proposal_refs.get(&(iter, true)).cloned())
                         }
                         // No valid proposal, conflicting proposals, or a
@@ -690,193 +566,89 @@ impl Protocol<IterMsg> for IterNode {
                         return; // cannot justify the vote; abstain
                     }
                     let tag = MineTag::new(MsgKind::Vote, iter, b);
-                    if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
+                    if let Some(ev) = self.rules.auth.attest(self.id, &tag) {
                         // Record our own vote so our commit tally sees it.
-                        self.record_vote(iter, b, self.id, ev.clone());
+                        self.record_vote(iter, b, self.id, &ev);
                         out.multicast(IterMsg::Vote { iter, bit: b, just, ev });
                     }
                 }
             }
             Phase::Commit => {
                 for bit in [false, true] {
-                    let for_count = self.votes.get(&(iter, bit)).map_or(0, |v| v.len());
-                    let against = self.votes.get(&(iter, !bit)).map_or(0, |v| v.len());
-                    if for_count >= self.cfg.quorum && against == 0 {
-                        // Build the iteration-r certificate from the vote
-                        // pool (best[bit] may hold a higher-ranked one);
-                        // sort in place and copy only the quorum prefix.
-                        let pool = self.votes.get_mut(&(iter, bit)).expect("nonempty pool");
-                        pool.sort_by_key(|v| v.from);
-                        let votes = pool[..self.cfg.quorum].to_vec();
-                        let cert = self.build_certificate(iter, bit, &votes);
-                        let tag = MineTag::new(MsgKind::Commit, iter, bit);
-                        if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                            self.record_commit(iter, bit, self.id, ev.clone());
-                            out.multicast(IterMsg::Commit { iter, bit, cert, ev });
-                        }
-                        break;
+                    if self.votes.count(iter, !bit) > 0 {
+                        continue;
                     }
+                    // Build the iteration-r certificate from the vote pool
+                    // (the ledger may hold a higher-ranked one).
+                    let quorum = self.rules.quorum;
+                    let Some(votes) = self.votes.sorted_quorum_prefix(iter, bit, quorum) else {
+                        continue;
+                    };
+                    let cert = self.rules.certificate(iter, bit, votes);
+                    let tag = MineTag::new(MsgKind::Commit, iter, bit);
+                    if let Some(ev) = self.rules.auth.attest(self.id, &tag) {
+                        self.record_commit(iter, bit, self.id, &ev);
+                        out.multicast(IterMsg::Commit { iter, bit, cert, ev });
+                    }
+                    break;
                 }
             }
         }
     }
 
     fn output(&self) -> Option<Bit> {
-        self.output
+        self.relay.output()
     }
 
     fn halted(&self) -> bool {
-        self.done
+        self.relay.done()
     }
 }
 
-/// Predicts each round's possible speakers for the sparse population engine
-/// by probing the eligibility backend's side-effect-free `would_mine` for
-/// every tag the round's schedule lets a node attest — plus the Terminate
-/// tags, which `finish` can fire in **any** round once a node decides.
-/// Committees are memoized per probed tag, so each tag costs one `O(n)`
-/// probe sweep over the whole run.
-struct IterOracle {
-    n: usize,
-    max_iters: u64,
-    /// Mirrors [`Auth::Mined`]'s flag: shared committees probe the
-    /// bit-erased tag, exactly as `attest` mines it.
-    bit_specific: bool,
-    elig: Arc<dyn Eligibility>,
-    memo: HashMap<MineTag, Vec<NodeId>>,
-}
-
-impl IterOracle {
-    fn committee(&mut self, tag: MineTag) -> &[NodeId] {
-        let probe = if self.bit_specific { tag } else { tag.sharedized() };
-        let (n, elig) = (self.n, &self.elig);
-        self.memo
-            .entry(probe)
-            .or_insert_with(|| (0..n).map(NodeId).filter(|&i| elig.would_mine(i, &probe)).collect())
-    }
-}
-
-impl ActivationOracle for IterOracle {
-    fn candidates(&mut self, round: Round) -> Vec<NodeId> {
-        let mut tags = vec![MineTag::terminate(false), MineTag::terminate(true)];
-        let (iter, phase) = schedule(round.0);
-        if iter <= self.max_iters {
-            match phase {
-                Phase::Status => tags.extend([
-                    MineTag::new(MsgKind::Status, iter, false),
-                    MineTag::new(MsgKind::Status, iter, true),
-                    MineTag::bot(MsgKind::Status, iter),
-                ]),
-                Phase::Propose => tags.extend([
-                    MineTag::new(MsgKind::Propose, iter, false),
-                    MineTag::new(MsgKind::Propose, iter, true),
-                ]),
-                Phase::Vote => tags.extend([
-                    MineTag::new(MsgKind::Vote, iter, false),
-                    MineTag::new(MsgKind::Vote, iter, true),
-                ]),
-                Phase::Commit => tags.extend([
-                    MineTag::new(MsgKind::Commit, iter, false),
-                    MineTag::new(MsgKind::Commit, iter, true),
-                ]),
+/// Every tag `round`'s schedule lets a node attest — plus the Terminate
+/// tags, which `finish` can fire in **any** round once a node decides. The
+/// sparse engine's committee oracle probes exactly these.
+fn round_tags(round: u64, max_iters: u64) -> Vec<MineTag> {
+    let mut tags = vec![MineTag::terminate(false), MineTag::terminate(true)];
+    let (iter, phase) = schedule(round);
+    if iter <= max_iters {
+        let kind = match phase {
+            Phase::Status => {
+                tags.push(MineTag::bot(MsgKind::Status, iter));
+                MsgKind::Status
             }
-        }
-        let mut out = Vec::new();
-        for tag in tags {
-            out.extend_from_slice(self.committee(tag));
-        }
-        out
+            Phase::Propose => MsgKind::Propose,
+            Phase::Vote => MsgKind::Vote,
+            Phase::Commit => MsgKind::Commit,
+        };
+        tags.extend([MineTag::new(kind, iter, false), MineTag::new(kind, iter, true)]);
     }
-}
-
-/// Builds the sparse-engine spec for this configuration, or `None` when it
-/// cannot run sparsely (see [`IterConfig::supports_sparse`]) so callers fall
-/// back to the dense engine.
-fn sparse_spec(cfg: &IterConfig, inputs: &[Bit], sim: &SimConfig) -> Option<SparseSpec<IterMsg>> {
-    if !cfg.supports_sparse() {
-        return None;
-    }
-    let Auth::Mined { elig, bit_specific, keychain } = &cfg.auth else {
-        return None;
-    };
-    // Ghosts can never win a committee seat (NeverMine) but verify exactly
-    // like real nodes, and carry the out-of-range id `n` so any accidental
-    // send is detectable. Their seed only feeds the leader-coin DRBG, which
-    // a non-candidate never exposes.
-    let mut ghost_cfg = cfg.clone();
-    ghost_cfg.auth = Auth::Mined {
-        elig: Arc::new(NeverMine(Arc::clone(elig))),
-        bit_specific: *bit_specific,
-        keychain: keychain.clone(),
-    };
-    let n = cfg.n;
-    let ghost_seed = sim.seed ^ 0x6057_1A5E_1D0C_0DE0;
-    let ghost = |bit: Bit| -> BoxedProtocol<IterMsg> {
-        Box::new(IterNode::new(ghost_cfg.clone(), NodeId(n), bit, ghost_seed ^ bit as u64))
-    };
-    let oracle = IterOracle {
-        n,
-        max_iters: cfg.max_iters,
-        bit_specific: *bit_specific,
-        elig: Arc::clone(elig),
-        memo: HashMap::new(),
-    };
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.to_vec();
-    Some(SparseSpec {
-        factory: Box::new(move |id, seed| {
-            Box::new(IterNode::new(
-                cfg_for_factory.clone(),
-                id,
-                inputs_for_factory[id.index()],
-                seed,
-            ))
-        }),
-        ghosts: [ghost(false), ghost(true)],
-        oracle: Box::new(oracle),
-    })
+    tags
 }
 
 /// Runs one execution of an iteration-family protocol and evaluates the
 /// agreement verdict. Honors [`SimConfig::population`]: sparse-capable
-/// configurations run under the sparse engine (byte-identical report);
-/// others silently use the dense engine. The sparse engine composes only
-/// with the lockstep transport — under a latency/TCP transport the
-/// multicast history no longer describes every silent node's inbox, so
-/// those configurations fall back to dense. Delivery itself goes through
-/// [`ba_net::execute`], which realizes whatever [`SimConfig::transport`]
-/// names.
+/// configurations ([`IterConfig::supports_sparse`]) run under the sparse
+/// engine (byte-identical report); others silently use the dense engine.
 pub fn run<A: Adversary<IterMsg> + Send>(
     cfg: &IterConfig,
     sim: &SimConfig,
     inputs: Vec<Bit>,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.min(cfg.total_rounds() + 2);
-    let spec = match sim_cfg.population {
-        PopulationMode::Sparse if sim_cfg.transport == TransportSpec::Lockstep => {
-            sparse_spec(cfg, &inputs, &sim_cfg)
-        }
-        _ => None,
+    let (n, max_iters) = (cfg.n, cfg.max_iters);
+    // A ghost's seed only feeds the leader-coin DRBG, which a non-candidate
+    // never exposes.
+    let ghost = |auth, bit| IterNode::new(IterConfig { auth, ..cfg.clone() }, NodeId(n), bit, 0);
+    let sparse = if cfg.supports_sparse() {
+        kernel::committees(&cfg.auth, n, move |round| round_tags(round, max_iters), ghost)
+    } else {
+        None
     };
-    let report = match spec {
-        Some(spec) => run_sparse(&sim_cfg, inputs, adversary, spec),
-        None => {
-            let cfg_for_factory = cfg.clone();
-            let inputs_for_factory = inputs.clone();
-            ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-                Box::new(IterNode::new(
-                    cfg_for_factory.clone(),
-                    id,
-                    inputs_for_factory[id.index()],
-                    seed,
-                ))
-            })
-        }
-    };
-    let verdict = evaluate(Problem::Agreement, &report);
-    (report, verdict)
+    let budget = Budget::Cap(cfg.total_rounds() + 2);
+    let cfg = cfg.clone();
+    let node = move |id, input, seed| IterNode::new(cfg.clone(), id, input, seed);
+    kernel::run(sim, budget, Problem::Agreement, inputs, adversary, node, sparse)
 }
 
 /// Packages one iteration-family execution as a thread-dispatchable
@@ -894,7 +666,7 @@ pub fn runnable<A: Adversary<IterMsg> + Send + 'static>(
 mod tests {
     use super::*;
     use ba_fmine::{IdealMine, MineParams, SigMode};
-    use ba_sim::{CorruptionModel, Passive};
+    use ba_sim::{CorruptionModel, Passive, PopulationMode};
 
     fn quad_cfg(n: usize, seed: u64) -> IterConfig {
         IterConfig::quadratic_half(n, Arc::new(Keychain::from_seed(seed, n, SigMode::Ideal)), seed)
@@ -913,6 +685,40 @@ mod tests {
         assert_eq!(schedule(4), (2, Phase::Vote));
         assert_eq!(schedule(5), (2, Phase::Commit));
         assert_eq!(schedule(6), (3, Phase::Status));
+    }
+
+    #[test]
+    fn step_counts_votes_through_the_shared_pool() {
+        // n = 5, quorum 3. Node 0 votes for its input in round 0; round 1's
+        // inbox then carries node 1's vote three times and node 2's vote
+        // signed under iteration 2's statement. Two distinct voters: no
+        // commit. One more genuine voter: the commit carries the sorted
+        // quorum as its certificate.
+        let cfg = quad_cfg(5, 1);
+        let vote = |from: usize, claimed: u64, signed: u64| {
+            let tag = MineTag::new(MsgKind::Vote, signed, true);
+            let ev = cfg.auth.attest(NodeId(from), &tag).expect("signed regime always attests");
+            Incoming::new(NodeId(from), IterMsg::Vote { iter: claimed, bit: true, just: None, ev })
+        };
+        let commit_after = |inbox: &[Incoming<IterMsg>]| {
+            let mut node = IterNode::new(cfg.clone(), NodeId(0), true, 0);
+            let mut out = Outbox::new();
+            node.step(Round(0), &[], &mut out);
+            assert!(matches!(out.take()[..], [(_, IterMsg::Vote { iter: 1, bit: true, .. })]));
+            node.step(Round(1), inbox, &mut out);
+            out.take().pop()
+        };
+        let stale = [vote(1, 1, 1), vote(1, 1, 1), vote(1, 1, 1), vote(2, 1, 2)];
+        assert!(commit_after(&stale).is_none(), "duplicates and replays must not reach quorum");
+        let mut genuine = stale.to_vec();
+        genuine.push(vote(4, 1, 1));
+        let Some((_, IterMsg::Commit { iter: 1, bit: true, cert, .. })) = commit_after(&genuine)
+        else {
+            panic!("a genuine quorum must commit");
+        };
+        let CertBody::Vector(votes) = &cert.body else { panic!("vector encoding") };
+        assert_eq!(votes.iter().map(|v| v.from.index()).collect::<Vec<_>>(), [0, 1, 4]);
+        assert!(cert.verify(&cfg.auth, cfg.quorum));
     }
 
     #[test]

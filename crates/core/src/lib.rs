@@ -55,6 +55,7 @@ pub mod cks;
 pub mod dolev_strong;
 pub mod epoch;
 pub mod iter;
+mod kernel;
 pub mod ledger;
 pub mod momose_ren;
 pub mod runnable;
@@ -63,4 +64,5 @@ pub use auth::{Auth, Evidence, FsService};
 pub use cert::{
     AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
 };
+pub use kernel::TailMsg;
 pub use runnable::Runnable;

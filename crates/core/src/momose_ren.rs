@@ -12,8 +12,8 @@
 //! O(n²) words. This module reproduces exactly that skeleton on the repo's
 //! seams: [`Auth::Signed`] evidence, [`crate::cert`] quorum certificates in
 //! either [`CertEncoding`] (the aggregate encoding plays the paper's
-//! threshold-signature role), and the decide-relay termination gadget shared
-//! with the iteration family.
+//! threshold-signature role), and the shared kernel's leader-driven tail
+//! and decide-relay termination gadget.
 //!
 //! ## Round schedule
 //!
@@ -47,14 +47,13 @@ use std::sync::Arc;
 
 use ba_fmine::{Keychain, MineTag, MsgKind};
 use ba_sim::{
-    evaluate, Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round,
-    RunReport, SimConfig, Verdict,
+    Adversary, Bit, Incoming, Message, NodeId, Outbox, Problem, Protocol, Round, RunReport,
+    SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence};
-use crate::cert::{
-    AggregateQuorum, CertBody, CertEncoding, Certificate, CommitQuorum, CommitRef, VoteRef,
-};
+use crate::cert::{CertEncoding, Certificate};
+use crate::kernel::{self, Budget, LeaderTail, Pool, QuorumRules, Slot, TailMsg};
 use crate::runnable::Runnable;
 
 /// Messages of the Momose–Ren view family.
@@ -89,71 +88,33 @@ pub enum MrMsg {
         /// Evidence for `(Propose, v, b)`.
         ev: Evidence,
     },
-    /// `(Vote, v, b)` — unicast to `L_v`.
-    Vote {
-        /// View.
-        view: u64,
-        /// Voted bit.
-        bit: Bit,
-        /// Evidence for `(Vote, v, b)`.
-        ev: Evidence,
-    },
-    /// `(Lock, v, b)` — the leader's freshly formed view-`v` certificate.
-    Lock {
-        /// View.
-        view: u64,
-        /// Certified bit.
-        bit: Bit,
-        /// The view-`v` certificate (quorum of view-`v` votes).
-        cert: Certificate,
-        /// Evidence for `(Ack, v, b)`.
-        ev: Evidence,
-    },
-    /// `(Commit, v, b)` — unicast to `L_v` after adopting the lock.
-    CommitVote {
-        /// View.
-        view: u64,
-        /// Committed bit.
-        bit: Bit,
-        /// Evidence for `(Commit, v, b)`.
-        ev: Evidence,
-    },
-    /// `(Decide, v, b)` — a commit quorum; multicast by the leader, relayed
-    /// once by every decider.
-    Decide {
-        /// View whose commits are attached.
-        view: u64,
-        /// Decided bit.
-        bit: Bit,
-        /// Quorum of commits for `(v, b)`, in the sender's encoding.
-        commits: CommitQuorum,
-        /// Evidence for `(Terminate, b)`.
-        ev: Evidence,
-    },
+    /// Vote, Lock, CommitVote or Decide — the tail shared with CKS.
+    Tail(TailMsg),
+}
+
+impl From<TailMsg> for MrMsg {
+    fn from(msg: TailMsg) -> MrMsg {
+        MrMsg::Tail(msg)
+    }
 }
 
 impl Message for MrMsg {
     fn size_bits(&self) -> usize {
-        let header = 8 + 64 + 2;
         match self {
-            MrMsg::Input { ev, .. } | MrMsg::Vote { ev, .. } | MrMsg::CommitVote { ev, .. } => {
-                header + ev.size_bits()
+            MrMsg::Input { ev, .. } | MrMsg::Status { ev, .. } | MrMsg::Propose { ev, .. } => {
+                8 + 64 + 2 + self.cert_bits() + ev.size_bits()
             }
-            MrMsg::Status { ev, .. }
-            | MrMsg::Propose { ev, .. }
-            | MrMsg::Lock { ev, .. }
-            | MrMsg::Decide { ev, .. } => header + self.cert_bits() + ev.size_bits(),
+            MrMsg::Tail(msg) => msg.size_bits(),
         }
     }
 
     fn cert_bits(&self) -> usize {
         match self {
-            MrMsg::Input { .. } | MrMsg::Vote { .. } | MrMsg::CommitVote { .. } => 0,
+            MrMsg::Input { .. } => 0,
             MrMsg::Status { cert, .. } | MrMsg::Propose { cert, .. } => {
                 cert.as_ref().map_or(0, |c| c.size_bits())
             }
-            MrMsg::Lock { cert, .. } => cert.size_bits(),
-            MrMsg::Decide { commits, .. } => commits.size_bits(),
+            MrMsg::Tail(msg) => msg.cert_bits(),
         }
     }
 }
@@ -198,19 +159,14 @@ impl MrConfig {
     }
 
     /// The encoding certificates are actually built with (the signed regime
-    /// always aggregates, so this mirrors the request; kept for parity with
-    /// [`crate::iter::IterConfig::effective_cert_encoding`]).
+    /// always aggregates, so this mirrors the request).
     pub fn effective_cert_encoding(&self) -> CertEncoding {
-        if self.auth.supports_aggregation() {
-            self.cert_encoding
-        } else {
-            CertEncoding::Vector
-        }
+        self.auth.effective_encoding(self.cert_encoding)
     }
 
     /// The round-robin leader of `view` (1-based).
     pub fn leader(&self, view: u64) -> NodeId {
-        NodeId(((view - 1) % self.n as u64) as usize)
+        kernel::round_robin_leader(self.n, view)
     }
 
     /// Synchronous rounds consumed by the input round plus `views` views,
@@ -220,184 +176,62 @@ impl MrConfig {
     }
 }
 
-/// Per-view phase within the 5-round cadence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
-    Status,
-    Propose,
-    Vote,
-    Lock,
-    CommitVote,
-}
-
-/// Maps a round to its `(view, phase)` slot (round 0 is the input round).
-fn schedule(round: u64) -> Option<(u64, Phase)> {
-    if round == 0 {
-        return None;
-    }
-    let view = 1 + (round - 1) / 5;
-    let phase = match (round - 1) % 5 {
-        0 => Phase::Status,
-        1 => Phase::Propose,
-        2 => Phase::Vote,
-        3 => Phase::Lock,
-        _ => Phase::CommitVote,
-    };
-    Some((view, phase))
-}
-
 /// One node of the Momose–Ren protocol.
 pub struct MrNode {
     cfg: MrConfig,
     id: NodeId,
     input: Bit,
     /// Distinct round-0 input supporters per bit (admissibility counts).
-    support: [Vec<NodeId>; 2],
-    /// Highest verified certificate per bit (the node's lock state).
-    best: [Option<Certificate>; 2],
-    /// Deduplicated valid votes per `(view, bit)` (leader role).
-    votes: HashMap<(u64, bool), Vec<VoteRef>>,
-    /// Deduplicated valid commit votes per `(view, bit)` (leader role).
-    commits: HashMap<(u64, bool), Vec<CommitRef>>,
-    /// The view's accepted proposal, if any.
+    support: Pool,
+    /// The view's accepted proposal `(bit, rank)`, if any.
     proposal: HashMap<u64, (Bit, u64)>,
-    /// Views this node already voted in.
-    voted: Vec<u64>,
-    /// Views whose lock this node already commit-voted for.
-    committed: Vec<u64>,
-    /// Views whose lock certificate this leader already multicast.
-    locked_out: Vec<u64>,
-    /// Lock adopted from this round's inbox; drives the commit vote in the
-    /// same `step` call.
-    pending_commit: Option<(u64, Bit)>,
-    /// Set once a commit quorum was formed or received; carries the quorum
-    /// for the one-shot relay.
-    decided: Option<(u64, Bit, CommitQuorum)>,
-    output: Option<Bit>,
-    done: bool,
+    /// Lock state, vote/commit tallies and the decide relay.
+    tail: LeaderTail,
 }
 
 impl MrNode {
     /// Creates a node with its input bit (the per-node seed is unused: the
     /// protocol is deterministic).
     pub fn new(cfg: MrConfig, id: NodeId, input: Bit, _seed: u64) -> MrNode {
+        let rules = QuorumRules::new(&cfg.auth, cfg.quorum, cfg.cert_encoding);
         MrNode {
+            tail: LeaderTail::new(id, cfg.n, rules),
             cfg,
             id,
             input,
-            support: [Vec::new(), Vec::new()],
-            best: [None, None],
-            votes: HashMap::new(),
-            commits: HashMap::new(),
+            support: Pool::default(),
             proposal: HashMap::new(),
-            voted: Vec::new(),
-            committed: Vec::new(),
-            locked_out: Vec::new(),
-            pending_commit: None,
-            decided: None,
-            output: None,
-            done: false,
-        }
-    }
-
-    fn adopt_cert(&mut self, cert: &Certificate) {
-        if !cert.verify(&self.cfg.auth, self.cfg.quorum) {
-            return;
-        }
-        let slot = &mut self.best[cert.bit as usize];
-        if Certificate::rank(slot) < cert.iter {
-            *slot = Some(cert.clone());
-        }
-    }
-
-    /// The node's overall highest certificate rank (its lock rank).
-    fn best_rank(&self) -> u64 {
-        Certificate::rank(&self.best[0]).max(Certificate::rank(&self.best[1]))
-    }
-
-    /// `(bit, cert)` of the overall highest certificate; ties prefer 1.
-    fn best_bit(&self) -> Option<(Bit, Certificate)> {
-        let r0 = Certificate::rank(&self.best[0]);
-        let r1 = Certificate::rank(&self.best[1]);
-        if r0 == 0 && r1 == 0 {
-            None
-        } else if r1 >= r0 {
-            Some((true, self.best[1].clone().expect("rank > 0")))
-        } else {
-            Some((false, self.best[0].clone().expect("rank > 0")))
         }
     }
 
     /// Whether `t + 1` distinct nodes input `bit` (rank-0 admissibility).
     fn admissible(&self, bit: Bit) -> bool {
-        self.support[bit as usize].len() > self.cfg.t
-    }
-
-    fn aggregate_quorum(
-        &self,
-        tag: &MineTag,
-        refs: &[(NodeId, &Evidence)],
-    ) -> Option<AggregateQuorum> {
-        let n = self.cfg.auth.aggregation_domain()?;
-        let agg = self.cfg.auth.aggregate(tag, refs)?;
-        Some(AggregateQuorum { n, signers: refs.iter().map(|(id, _)| *id).collect(), agg })
-    }
-
-    fn build_certificate(&self, view: u64, bit: Bit, votes: &[VoteRef]) -> Certificate {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Vote, view, bit);
-            let refs: Vec<(NodeId, &Evidence)> = votes.iter().map(|v| (v.from, &v.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return Certificate { iter: view, bit, body: CertBody::Aggregate(q) };
-            }
-        }
-        Certificate::from_votes(view, bit, votes.to_vec())
-    }
-
-    fn build_commit_quorum(&self, view: u64, bit: Bit, commits: &[CommitRef]) -> CommitQuorum {
-        if self.cfg.effective_cert_encoding() == CertEncoding::Aggregate {
-            let tag = MineTag::new(MsgKind::Commit, view, bit);
-            let refs: Vec<(NodeId, &Evidence)> = commits.iter().map(|c| (c.from, &c.ev)).collect();
-            if let Some(q) = self.aggregate_quorum(&tag, &refs) {
-                return CommitQuorum::Aggregate(q);
-            }
-        }
-        CommitQuorum::Vector(commits.to_vec())
+        self.support.count(0, bit) > self.cfg.t
     }
 
     fn ingest(&mut self, inbox: &[Incoming<MrMsg>]) {
+        let auth = &self.cfg.auth;
         for m in inbox {
             match &*m.msg {
                 MrMsg::Input { bit, ev } => {
-                    let tag = MineTag::new(MsgKind::Status, 0, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
-                        continue;
-                    }
-                    let pool = &mut self.support[*bit as usize];
-                    if !pool.contains(&m.from) {
-                        pool.push(m.from);
-                    }
+                    self.support.admit_count(auth, (MsgKind::Status, 0, *bit), m.from, ev);
                 }
                 MrMsg::Status { view, cert, ev } => {
-                    let tag = match cert {
-                        Some(c) => MineTag::new(MsgKind::Status, *view, c.bit),
-                        None => MineTag::bot(MsgKind::Status, *view),
-                    };
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
+                    let tag = kernel::status_tag(*view, cert.as_ref().map(|c| c.bit));
+                    if !auth.verify(m.from, &tag, ev) {
                         continue;
                     }
                     if let Some(c) = cert {
-                        self.adopt_cert(c);
+                        self.tail.ledger.adopt(c, &self.tail.rules);
                     }
                 }
                 MrMsg::Propose { view, bit, cert, ev } => {
                     let tag = MineTag::new(MsgKind::Propose, *view, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) || m.from != self.cfg.leader(*view) {
+                    if !auth.verify(m.from, &tag, ev) || m.from != self.cfg.leader(*view) {
                         continue;
                     }
                     let rank = match cert {
-                        Some(c) if c.bit == *bit && c.verify(&self.cfg.auth, self.cfg.quorum) => {
-                            self.adopt_cert(c);
+                        Some(c) if c.bit == *bit && self.tail.ledger.adopt(c, &self.tail.rules) => {
                             c.iter
                         }
                         Some(_) => continue, // malformed attachment: drop
@@ -405,126 +239,25 @@ impl MrNode {
                     };
                     self.proposal.entry(*view).or_insert((*bit, rank));
                 }
-                MrMsg::Vote { view, bit, ev } => {
-                    let tag = MineTag::new(MsgKind::Vote, *view, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
-                        continue;
-                    }
-                    let pool = self.votes.entry((*view, *bit)).or_default();
-                    if pool.iter().all(|v| v.from != m.from) {
-                        pool.push(VoteRef { from: m.from, ev: ev.clone() });
-                    }
-                }
-                MrMsg::Lock { view, bit, cert, ev } => {
-                    let tag = MineTag::new(MsgKind::Ack, *view, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev)
-                        || m.from != self.cfg.leader(*view)
-                        || cert.iter != *view
-                        || cert.bit != *bit
-                        || !cert.verify(&self.cfg.auth, self.cfg.quorum)
-                    {
-                        continue;
-                    }
-                    self.adopt_cert(cert);
-                    // Commit-vote at most once per view, in the next send
-                    // slot (handled in `step` via the `committed` marker).
-                    if !self.committed.contains(view) {
-                        self.committed.push(*view);
-                        self.pending_commit = Some((*view, *bit));
-                    }
-                }
-                MrMsg::CommitVote { view, bit, ev } => {
-                    let tag = MineTag::new(MsgKind::Commit, *view, *bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev) {
-                        continue;
-                    }
-                    let pool = self.commits.entry((*view, *bit)).or_default();
-                    if pool.iter().all(|c| c.from != m.from) {
-                        pool.push(CommitRef { from: m.from, ev: ev.clone() });
-                    }
-                }
-                MrMsg::Decide { view, bit, commits, ev } => {
-                    let tag = MineTag::terminate(*bit);
-                    if !self.cfg.auth.verify(m.from, &tag, ev)
-                        || !commits.verify(*view, *bit, &self.cfg.auth, self.cfg.quorum)
-                    {
-                        continue;
-                    }
-                    if self.decided.is_none() {
-                        self.decided = Some((*view, *bit, commits.clone()));
-                    }
+                MrMsg::Tail(msg) => {
+                    self.tail.ingest(m.from, msg);
                 }
             }
-        }
-    }
-
-    /// Relays the commit quorum once, outputs, and halts.
-    fn finish(&mut self, out: &mut Outbox<MrMsg>) {
-        let (view, bit, commits) = self.decided.clone().expect("finish requires a decision");
-        let tag = MineTag::terminate(bit);
-        if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-            out.multicast(MrMsg::Decide { view, bit, commits, ev });
-        }
-        self.output = Some(bit);
-        self.done = true;
-    }
-
-    /// Leader duty that is round-position independent: form and multicast
-    /// the commit quorum as soon as it exists (commit votes from view `v`
-    /// arrive in view `v + 1`'s first round).
-    fn try_decide_as_leader(&mut self, out: &mut Outbox<MrMsg>) {
-        if self.decided.is_some() {
-            return;
-        }
-        let quorum = self.cfg.quorum;
-        let mine: Vec<(u64, bool)> = self
-            .commits
-            .iter()
-            .filter(|((view, _), pool)| self.cfg.leader(*view) == self.id && pool.len() >= quorum)
-            .map(|((view, bit), _)| (*view, *bit))
-            .collect();
-        if let Some((view, bit)) = mine.into_iter().min() {
-            let pool = self.commits.get_mut(&(view, bit)).expect("quorum pool");
-            pool.sort_by_key(|c| c.from);
-            let refs = pool[..quorum].to_vec();
-            let commits = self.build_commit_quorum(view, bit, &refs);
-            let tag = MineTag::terminate(bit);
-            if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                out.multicast(MrMsg::Decide { view, bit, commits: commits.clone(), ev });
-            }
-            self.decided = Some((view, bit, commits));
-            self.output = Some(bit);
-            self.done = true;
         }
     }
 }
 
 impl Protocol<MrMsg> for MrNode {
     fn step(&mut self, round: Round, inbox: &[Incoming<MrMsg>], out: &mut Outbox<MrMsg>) {
-        if self.done {
+        if self.tail.relay.done() {
             return;
         }
-        self.pending_commit = None;
         self.ingest(inbox);
-        if self.decided.is_some() {
-            self.finish(out);
+        if self.tail.settle(out) {
             return;
         }
-        self.try_decide_as_leader(out);
-        if self.done {
-            return;
-        }
-        // A lock adopted from this round's inbox triggers the commit vote
-        // regardless of where the round falls in the cadence (the lock
-        // lands in the CommitVote slot on the undisturbed schedule).
-        if let Some((view, bit)) = self.pending_commit.take() {
-            let tag = MineTag::new(MsgKind::Commit, view, bit);
-            if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                out.unicast(self.cfg.leader(view), MrMsg::CommitVote { view, bit, ev });
-            }
-        }
-        let Some((view, phase)) = schedule(round.0) else {
-            // Round 0: the input round.
+        let Some((view, slot)) = round.0.checked_sub(1).map(kernel::view_slot) else {
+            // Round 0: the input round; views follow back to back.
             let tag = MineTag::new(MsgKind::Status, 0, self.input);
             if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
                 out.multicast(MrMsg::Input { bit: self.input, ev });
@@ -534,37 +267,33 @@ impl Protocol<MrMsg> for MrNode {
         if view > self.cfg.views {
             return; // out of schedule; non-termination will be reported
         }
-        match phase {
-            Phase::Status => {
-                let (cert, tag) = match self.best_bit() {
-                    Some((b, c)) => (Some(c), MineTag::new(MsgKind::Status, view, b)),
-                    None => (None, MineTag::bot(MsgKind::Status, view)),
-                };
+        match slot {
+            Slot::Open => {
+                let cert = self.tail.ledger.best().cloned();
+                let tag = kernel::status_tag(view, cert.as_ref().map(|c| c.bit));
                 if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
                     out.unicast(self.cfg.leader(view), MrMsg::Status { view, cert, ev });
                 }
             }
-            Phase::Propose => {
+            Slot::Propose => {
                 if self.cfg.leader(view) != self.id {
                     return;
                 }
-                let (bit, cert) = match self.best_bit() {
-                    Some((b, c)) => (b, Some(c)),
+                let cert = self.tail.ledger.best().cloned();
+                let bit = match &cert {
+                    Some(c) => c.bit,
                     None => {
                         // Rank-0 proposal: the better-supported admissible
                         // bit (ties prefer 1); with no admissible bit the
                         // leader's own input (the view will not certify).
-                        let s0 = self.support[0].len();
-                        let s1 = self.support[1].len();
-                        let bit = if self.admissible(true) && (s1 >= s0 || !self.admissible(false))
-                        {
+                        let (s0, s1) = (self.support.count(0, false), self.support.count(0, true));
+                        if self.admissible(true) && (s1 >= s0 || !self.admissible(false)) {
                             true
                         } else if self.admissible(false) {
                             false
                         } else {
                             self.input
-                        };
-                        (bit, None)
+                        }
                     }
                 };
                 let tag = MineTag::new(MsgKind::Propose, view, bit);
@@ -572,82 +301,47 @@ impl Protocol<MrMsg> for MrNode {
                     out.multicast(MrMsg::Propose { view, bit, cert, ev });
                 }
             }
-            Phase::Vote => {
-                if self.voted.contains(&view) {
-                    return;
-                }
+            Slot::Vote => {
                 let Some((bit, rank)) = self.proposal.get(&view).copied() else {
                     return;
                 };
                 // The lock rule: the proposal must carry a certificate at
                 // least as high as anything this node has seen; rank-0
                 // proposals additionally need input admissibility.
-                if rank < self.best_rank() || (rank == 0 && !self.admissible(bit)) {
-                    return;
-                }
-                self.voted.push(view);
-                let tag = MineTag::new(MsgKind::Vote, view, bit);
-                if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                    out.unicast(self.cfg.leader(view), MrMsg::Vote { view, bit, ev });
+                if rank >= self.tail.ledger.top_rank() && (rank > 0 || self.admissible(bit)) {
+                    self.tail.vote(view, bit, out);
                 }
             }
-            Phase::Lock => {
-                if self.cfg.leader(view) != self.id || self.locked_out.contains(&view) {
-                    return;
-                }
-                let quorum = self.cfg.quorum;
-                for bit in [true, false] {
-                    let Some(pool) = self.votes.get_mut(&(view, bit)) else { continue };
-                    if pool.len() < quorum {
-                        continue;
-                    }
-                    pool.sort_by_key(|v| v.from);
-                    let votes = pool[..quorum].to_vec();
-                    let cert = self.build_certificate(view, bit, &votes);
-                    let tag = MineTag::new(MsgKind::Ack, view, bit);
-                    if let Some(ev) = self.cfg.auth.attest(self.id, &tag) {
-                        self.adopt_cert(&cert);
-                        self.locked_out.push(view);
-                        out.multicast(MrMsg::Lock { view, bit, cert, ev });
-                    }
-                    break;
-                }
+            Slot::Lock => {
+                self.tail.lock(view, out);
             }
-            Phase::CommitVote => {
-                // Handled by `pending_commit` above (the lock arrives in
-                // this round's inbox on the undisturbed schedule).
-            }
+            // The commit vote follows the lock, which arrives in this
+            // round's inbox on the undisturbed schedule (`settle` above).
+            Slot::CommitVote => {}
         }
     }
 
     fn output(&self) -> Option<Bit> {
-        self.output
+        self.tail.relay.output()
     }
 
     fn halted(&self) -> bool {
-        self.done
+        self.tail.relay.done()
     }
 }
 
 /// Runs one execution and evaluates the agreement verdict. The family is
-/// signed full-participation, so there is no sparse-population fast path;
-/// delivery goes through [`ba_net::execute`], which realizes whatever
-/// [`SimConfig::transport`] names.
+/// signed full-participation, so it always runs under the dense engine.
 pub fn run<A: Adversary<MrMsg> + Send>(
     cfg: &MrConfig,
     sim: &SimConfig,
     inputs: Vec<Bit>,
     adversary: A,
 ) -> (RunReport, Verdict) {
-    let mut sim_cfg = sim.clone();
-    sim_cfg.max_rounds = sim_cfg.max_rounds.min(cfg.total_rounds() + 2);
-    let cfg_for_factory = cfg.clone();
-    let inputs_for_factory = inputs.clone();
-    let report = ba_net::execute(&sim_cfg, inputs, adversary, move |id, seed| {
-        Box::new(MrNode::new(cfg_for_factory.clone(), id, inputs_for_factory[id.index()], seed))
-    });
-    let verdict = evaluate(Problem::Agreement, &report);
-    (report, verdict)
+    let budget = Budget::Cap(cfg.total_rounds() + 2);
+    let cfg = cfg.clone();
+    let node = move |id, input, seed| MrNode::new(cfg.clone(), id, input, seed);
+    kernel::run(sim, budget, Problem::Agreement, inputs, adversary, node, None)
 }
 
 /// Packages one execution as a thread-dispatchable [`Runnable`].
@@ -668,15 +362,6 @@ mod tests {
 
     fn cfg(n: usize, views: u64, seed: u64) -> MrConfig {
         MrConfig::half(n, views, Arc::new(Keychain::from_seed(seed, n, SigMode::Ideal)))
-    }
-
-    #[test]
-    fn schedule_mapping() {
-        assert_eq!(schedule(0), None);
-        assert_eq!(schedule(1), Some((1, Phase::Status)));
-        assert_eq!(schedule(2), Some((1, Phase::Propose)));
-        assert_eq!(schedule(5), Some((1, Phase::CommitVote)));
-        assert_eq!(schedule(6), Some((2, Phase::Status)));
     }
 
     #[test]
@@ -754,28 +439,61 @@ mod tests {
     }
 
     #[test]
+    fn step_counts_votes_through_the_shared_pool() {
+        // n = 5, quorum 3; node 0 leads view 1, whose Lock slot is round 4.
+        // Node 1's vote three times, node 2's vote signed under view 2's
+        // statement and node 3's genuine view-2 vote are two distinct
+        // view-1 voters short: no lock. With nodes 2 and 3 voting for
+        // view 1 the leader locks on the sorted quorum.
+        let c = cfg(5, 2, 5);
+        let vote = |from: usize, claimed: u64, signed: u64| {
+            let tag = MineTag::new(MsgKind::Vote, signed, true);
+            let ev = c.auth.attest(NodeId(from), &tag).expect("signed");
+            Incoming::new(NodeId(from), TailMsg::Vote { view: claimed, bit: true, ev }.into())
+        };
+        let lock_after = |inbox: &[Incoming<MrMsg>]| {
+            let mut leader = MrNode::new(c.clone(), NodeId(0), true, 0);
+            let mut out = Outbox::new();
+            leader.step(Round(4), inbox, &mut out);
+            out.take().pop()
+        };
+        let stale = [vote(1, 1, 1), vote(1, 1, 1), vote(1, 1, 1), vote(2, 1, 2), vote(3, 2, 2)];
+        assert!(lock_after(&stale).is_none(), "duplicates and replays must not reach quorum");
+        let mut genuine = stale.to_vec();
+        genuine.extend([vote(3, 1, 1), vote(2, 1, 1)]);
+        let Some((_, MrMsg::Tail(TailMsg::Lock { view: 1, bit: true, cert, .. }))) =
+            lock_after(&genuine)
+        else {
+            panic!("a genuine quorum must lock");
+        };
+        assert!(cert.verify(&c.auth, c.quorum));
+        let crate::cert::CertBody::Vector(votes) = &cert.body else { panic!("vector encoding") };
+        assert_eq!(votes.iter().map(|v| v.from.index()).collect::<Vec<_>>(), [1, 2, 3]);
+    }
+
+    #[test]
     fn inadmissible_bit_cannot_be_certified() {
         // A rank-0 proposal for a bit with at most t supporters must not
         // collect votes: seed a node directly and feed it a proposal for
         // the unsupported bit.
         let c = cfg(5, 2, 7);
+        let support = |node: &mut MrNode, bit: Bit, supporters: usize| {
+            let tag = MineTag::new(MsgKind::Status, 0, bit);
+            for i in (0..supporters).map(NodeId) {
+                node.support.insert(0, bit, i, &c.auth.attest(i, &tag).expect("signed"));
+            }
+        };
         let mut node = MrNode::new(c.clone(), NodeId(1), true, 0);
         // Only 2 supporters for `false` (t = 2: not admissible).
-        for i in 0..2 {
-            node.support[0].push(NodeId(i));
-        }
-        for i in 0..3 {
-            node.support[1].push(NodeId(i));
-        }
+        support(&mut node, false, 2);
+        support(&mut node, true, 3);
         node.proposal.insert(1, (false, 0));
         let mut out = Outbox::new();
         node.step(Round(3), &[], &mut out); // view 1 vote phase
         assert!(out.is_empty(), "must not vote for an inadmissible rank-0 proposal");
         // The admissible bit does get a vote.
-        let mut voter = MrNode::new(c, NodeId(2), true, 0);
-        for i in 0..3 {
-            voter.support[1].push(NodeId(i));
-        }
+        let mut voter = MrNode::new(c.clone(), NodeId(2), true, 0);
+        support(&mut voter, true, 3);
         voter.proposal.insert(1, (true, 0));
         let mut out = Outbox::new();
         voter.step(Round(3), &[], &mut out);

@@ -10,9 +10,12 @@
 //!
 //! This is the uniform surface the `ba-bench` scenario layer dispatches
 //! over: a sweep harness builds one `Runnable` per (scenario, seed) cell and
-//! ships it to a `std::thread::scope` worker, where it drives
-//! [`ba_sim::Sim::run_boxed`] through the family's typed `run(...)` entry
-//! point.
+//! ships it to a `std::thread::scope` worker, where it calls the family's
+//! typed `run(...)` entry point. Every `run` is a thin call into the one
+//! execution path in `kernel.rs`, which applies the family's round budget,
+//! picks the engine (sparse for sparse-capable configurations under
+//! lockstep, dense otherwise), delivers through `ba_net::execute` and
+//! evaluates the verdict.
 
 use ba_sim::{RunReport, SimConfig, Verdict};
 

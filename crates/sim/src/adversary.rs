@@ -289,6 +289,36 @@ pub trait Adversary<M: Message> {
     }
 }
 
+/// A boxed strategy is a strategy: `Box<dyn Adversary<M> + Send>` lets one
+/// constructor serve every message type's engine.
+impl<M: Message, A: Adversary<M> + ?Sized> Adversary<M> for Box<A> {
+    fn setup(&mut self, ctx: &mut AdvCtx<'_, M>) {
+        (**self).setup(ctx)
+    }
+
+    fn filter_corrupt_inbox(
+        &mut self,
+        node: NodeId,
+        inbox: Vec<Incoming<M>>,
+        round: Round,
+    ) -> Vec<Incoming<M>> {
+        (**self).filter_corrupt_inbox(node, inbox, round)
+    }
+
+    fn corrupt_outbox(
+        &mut self,
+        node: NodeId,
+        planned: Vec<(Recipient, M)>,
+        round: Round,
+    ) -> Vec<(Recipient, M)> {
+        (**self).corrupt_outbox(node, planned, round)
+    }
+
+    fn intervene(&mut self, ctx: &mut AdvCtx<'_, M>) {
+        (**self).intervene(ctx)
+    }
+}
+
 /// The passive adversary: corrupts nobody, changes nothing.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Passive;
