@@ -66,7 +66,8 @@ impl RunRecord {
 /// A structured record of a quarantined cell: the cell's work never
 /// completed because every dispatch attempt killed the worker executing it
 /// (see `crate::dist`), or because its transport failed unrecoverably
-/// mid-run (a [`ba_sim::TransportError`] caught by [`catch_transport`]).
+/// mid-run or its lazy live set broke its premise (a
+/// [`ba_sim::structured_failure`] caught by [`catch_transport`]).
 /// Quarantined cells surface in the markdown and JSON renderers instead of
 /// silently vanishing.
 #[derive(Clone, Debug, PartialEq)]
@@ -77,16 +78,17 @@ pub struct CellError {
     pub detail: String,
 }
 
-/// Runs one cell execution, converting an unrecoverable transport failure
-/// (raised as a [`ba_sim::TransportError`] panic payload — e.g. a TCP peer
-/// that died and could not be reconnected) into a [`CellError`] so the
-/// sweep can quarantine the cell and keep going. Any other panic is a
-/// harness bug and is re-raised unchanged.
+/// Runs one cell execution, converting a structured execution failure
+/// ([`ba_sim::structured_failure`]: a [`ba_sim::TransportError`] panic
+/// payload — e.g. a TCP peer that died and could not be reconnected — or a
+/// [`ba_sim::LazyBreach`] from a wrong committee oracle) into a
+/// [`CellError`] so the sweep can quarantine the cell and keep going. Any
+/// other panic is a harness bug and is re-raised unchanged.
 pub fn catch_transport(f: impl FnOnce() -> RunRecord) -> Result<RunRecord, CellError> {
     match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
         Ok(record) => Ok(record),
-        Err(payload) => match payload.downcast_ref::<ba_sim::TransportError>() {
-            Some(error) => Err(CellError { attempts: 1, detail: error.to_string() }),
+        Err(payload) => match ba_sim::structured_failure(&*payload) {
+            Some(detail) => Err(CellError { attempts: 1, detail }),
             None => std::panic::resume_unwind(payload),
         },
     }
@@ -291,17 +293,25 @@ mod tests {
     }
 
     #[test]
-    fn catch_transport_quarantines_structured_transport_failures() {
-        let error = catch_transport(|| -> RunRecord {
+    fn catch_transport_quarantines_structured_failures() {
+        let quarantined = |raise: fn() -> RunRecord| {
+            let error = catch_transport(raise).expect_err("structured failure is caught");
+            assert_eq!(error.attempts, 1);
+            error.detail
+        };
+        let detail = quarantined(|| {
             std::panic::panic_any(TransportError {
                 node: Some(3),
                 detail: "peer connection died".into(),
             })
-        })
-        .expect_err("transport failure is caught");
-        assert_eq!(error.attempts, 1);
-        assert!(error.detail.contains("node 3"), "detail: {}", error.detail);
-        assert!(error.detail.contains("peer connection died"));
+        });
+        assert!(detail.contains("node 3"), "detail: {detail}");
+        assert!(detail.contains("peer connection died"));
+        // A wrong committee oracle costs the cell, not the sweep.
+        let detail = quarantined(|| {
+            std::panic::panic_any(ba_sim::LazyBreach::ReplayedNodeSent { node: 7, round: 2 })
+        });
+        assert!(detail.contains("node 7 sent while replaying round 2"), "detail: {detail}");
     }
 
     #[test]

@@ -1,24 +1,25 @@
 //! Sparse-population regression tests at the bench layer.
 //!
 //! The contract under test: [`ba_sim::PopulationMode::Sparse`] is a pure
-//! resource knob. Sparse-capable cells (mined iteration/epoch families)
-//! produce **identical** protocol observables to the dense engine at every
-//! sim-thread count — the only licensed difference is the substrate gauges
+//! resource knob. Sparse-capable cells (mined iteration/epoch families
+//! under lockstep delivery) produce **identical** protocol observables over
+//! a lazy live set and an all-live one at every sim-thread count — the only
+//! licensed difference is the substrate gauges
 //! (`peak_live_nodes`/`peak_resident_msgs`), which measure the engine
-//! itself and differ between engines by design (CI diffs them away with
-//! `--ignore-observable 'peak_*'`). Non-capable cells silently fall back
-//! to dense and match on *every* observable, gauges included. On top of
-//! the identity, the peak-live gauge must scale with the committee, not
-//! the population.
+//! itself (CI diffs them away with `--ignore-observable 'peak_*'`). Every
+//! other cell silently runs all-live and matches on *every* observable,
+//! gauges included. On top of the identity, the peak-live gauge must scale
+//! with the committee, not the population.
 //!
 //! Layers:
 //!
 //! * the full e11 smoke gauntlet under `--population sparse`, compared
 //!   to the dense run modulo `peak_*` AND byte-compared to the committed
 //!   CI baseline (`baselines/smoke/BENCH_e11_gauntlet.json`);
-//! * an explicit family × adversary matrix with named adversary-attribution
-//!   observables (`dropped_sends`, `corrupt_bits`, ...) — lazily
-//!   instantiated nodes must attribute exactly like dense ones;
+//! * an explicit family × adversary × delivery matrix with named
+//!   adversary-attribution observables (`dropped_sends`, `corrupt_bits`,
+//!   ...) — lazily instantiated nodes must attribute exactly like dense
+//!   ones — and both sides of the lazy/all-live decision;
 //! * a property test over random small scenarios;
 //! * pinned goldens for two sparse cells;
 //! * the memory ceiling: `peak_live_nodes` ≪ n on a population-scale cell.
@@ -28,7 +29,7 @@ use ba_bench::{
     diff_reports, to_json, AdversarySpec, Grid, InputPattern, ProtocolSpec, RunRecord, Scenario,
     Sweep, SweepReport, Tolerance,
 };
-use ba_sim::{CorruptionModel, PopulationMode};
+use ba_sim::{CorruptionModel, FaultPlan, PopulationMode, TransportSpec};
 use proptest::prelude::*;
 
 /// The CI tolerance for cross-engine comparison: exact on every protocol
@@ -103,83 +104,65 @@ fn records(
     report.cells[0].runs.clone()
 }
 
-/// The explicit family × adversary matrix. Full-record equality covers
-/// every observable, but the adversary-attribution ones are re-asserted by
-/// name: a lazily materialized node that drops a unicast or receives
-/// corrupt traffic must meter exactly like its dense twin (the
-/// `dropped_sends`/`corrupt_bits` satellite).
+/// The explicit family × adversary × delivery matrix. Each row says whether
+/// the engine may keep a lazy live set on that cell (`true`: records equal
+/// the dense run's modulo the gauges) or must keep everyone live (`false`:
+/// records equal the dense run's on **every** observable,
+/// `peak_live_nodes == n` included) — the family offers no committee, or
+/// delivery is not lockstep ([`ba_sim::Sim::run_population`]). Full-record
+/// equality covers every observable, but the adversary-attribution ones are
+/// re-asserted by name: a lazily materialized node that drops a unicast or
+/// receives corrupt traffic must meter exactly like its dense twin.
 #[test]
-fn sparse_matches_dense_across_families_adversaries_and_threads() {
+fn sparse_matches_dense_across_families_adversaries_deliveries_and_threads() {
     use AdversarySpec as A;
     use CorruptionModel as M;
     let subq_half = ProtocolSpec::SubqHalf { lambda: 12.0, max_iters: Some(6) };
     let subq_third = ProtocolSpec::SubqThird { lambda: 10.0, epochs: 6 };
     let subq_shared = ProtocolSpec::SubqShared { lambda: 10.0, epochs: 6 };
-    let cells: Vec<(&str, Scenario)> = vec![
+    let iter = |adversary| Scenario::new("c", 40, subq_half.clone()).adversary(adversary).f(13);
+    let epoch = |adversary| Scenario::new("c", 33, subq_third.clone()).adversary(adversary).f(9);
+    // Wide enough that the committees never cover it: `peak_live_nodes`
+    // shows which way the lazy/all-live decision went.
+    let wide = Scenario::new("c", 300, ProtocolSpec::SubqHalf { lambda: 6.0, max_iters: Some(3) })
+        .adversary(A::CrashTail { at_round: 1 })
+        .f(30);
+    let latency: TransportSpec = "latency:round_ms=10,gst_ms=30,dist=uniform:1..5".parse().unwrap();
+    let plan = |text: &str| text.parse::<FaultPlan>().expect("fault plan");
+    let cells: Vec<(&str, Scenario, bool)> = vec![
         // Iteration family (mined): sparse-capable.
-        ("iter/passive", Scenario::new("c", 40, subq_half.clone())),
-        (
-            "iter/crash_tail",
-            Scenario::new("c", 40, subq_half.clone()).adversary(A::CrashTail { at_round: 1 }).f(13),
-        ),
-        (
-            "iter/silence_burst",
-            Scenario::new("c", 40, subq_half.clone())
-                .adversary(A::SilenceThenBurst { at_round: 3 })
-                .f(13),
-        ),
+        ("iter/passive", Scenario::new("c", 40, subq_half.clone()), true),
+        ("iter/crash_tail", iter(A::CrashTail { at_round: 1 }), true),
+        ("iter/silence_burst", iter(A::SilenceThenBurst { at_round: 3 }), true),
         (
             "iter/adaptive_eclipse",
-            Scenario::new("c", 40, subq_half.clone())
-                .adversary(A::AdaptiveEclipse { per_round: 0 })
-                .model(M::Adaptive)
-                .f(13),
+            iter(A::AdaptiveEclipse { per_round: 0 }).model(M::Adaptive),
+            true,
         ),
-        (
-            "iter/eclipse_burst",
-            Scenario::new("c", 40, subq_half.clone())
-                .adversary(A::EclipseBurst { at_round: 3 })
-                .model(M::Adaptive)
-                .f(13),
-        ),
-        (
-            "iter/starve_quorum",
-            Scenario::new("c", 40, subq_half.clone())
-                .adversary(A::StarveQuorum)
-                .model(M::StronglyAdaptive)
-                .f(13),
-        ),
-        (
-            "iter/cert_forger",
-            Scenario::new("c", 40, subq_half.clone())
-                .adversary(A::CertForger { target: true })
-                .f(13),
-        ),
+        ("iter/eclipse_burst", iter(A::EclipseBurst { at_round: 3 }).model(M::Adaptive), true),
+        ("iter/starve_quorum", iter(A::StarveQuorum).model(M::StronglyAdaptive), true),
+        ("iter/cert_forger", iter(A::CertForger { target: true }), true),
         // Real-VRF eligibility through the untabled-threshold boundary.
-        ("iter/passive_real", Scenario::new("c", 36, subq_half).real_elig()),
+        ("iter/passive_real", Scenario::new("c", 36, subq_half.clone()).real_elig(), true),
         // Epoch family (mined): sparse-capable, including typed adversaries.
-        ("epoch/passive", Scenario::new("c", 33, subq_third.clone())),
-        (
-            "epoch/vote_flipper",
-            Scenario::new("c", 33, subq_third.clone())
-                .adversary(A::VoteFlipper)
-                .model(M::Adaptive)
-                .f(9),
-        ),
-        (
-            "epoch/equivocation_spammer",
-            Scenario::new("c", 33, subq_third.clone()).adversary(A::EquivocationSpammer).f(9),
-        ),
-        (
-            "epoch/crash_tail",
-            Scenario::new("c", 33, subq_third).adversary(A::CrashTail { at_round: 1 }).f(9),
-        ),
-        ("epoch/shared_committee", Scenario::new("c", 30, subq_shared)),
-        // Non-capable regimes: sparse must silently fall back to dense.
-        ("iter/signed_fallback", Scenario::new("c", 9, ProtocolSpec::QuadraticHalf)),
+        ("epoch/passive", Scenario::new("c", 33, subq_third.clone()), true),
+        ("epoch/vote_flipper", epoch(A::VoteFlipper).model(M::Adaptive), true),
+        ("epoch/equivocation_spammer", epoch(A::EquivocationSpammer), true),
+        ("epoch/crash_tail", epoch(A::CrashTail { at_round: 1 }), true),
+        ("epoch/shared_committee", Scenario::new("c", 30, subq_shared), true),
+        // Lockstep delivery, bare or under the empty-plan fault wrapper.
+        ("wide/lockstep", wide.clone(), true),
+        ("wide/faults_none", wide.clone().faults(plan("none")), true),
+        // Per-link delivery gives every silent node its own inbox: all-live.
+        ("wide/latency", wide.clone().transport(latency), false),
+        ("wide/drops", wide.clone().faults(plan("drop:p=0.1")), false),
+        ("epoch/partition", epoch(A::VoteFlipper).faults(plan("partition:2..5=16")), false),
+        // Non-capable regimes: no committee to be lazy about.
+        ("iter/signed_fallback", Scenario::new("c", 9, ProtocolSpec::QuadraticHalf), false),
         (
             "epoch/round_robin_fallback",
             Scenario::new("c", 12, ProtocolSpec::WarmupThird { epochs: 6 }),
+            false,
         ),
         (
             "epoch/fs_mined_fallback",
@@ -188,30 +171,38 @@ fn sparse_matches_dense_across_families_adversaries_and_threads() {
                 24,
                 ProtocolSpec::ChenMicali { lambda: 10.0, epochs: 5, erasure: true },
             ),
+            false,
         ),
     ];
-    for (name, sc) in &cells {
+    let pick = |runs: &[RunRecord], metric: &str| -> Vec<f64> {
+        runs.iter()
+            .flat_map(|r| r.values.iter().filter(|(n, _)| n == metric).map(|(_, v)| *v))
+            .collect()
+    };
+    for (name, sc, lazy) in &cells {
         let dense = records(sc, 2, PopulationMode::Dense, 1);
+        assert_eq!(pick(&dense, "peak_live_nodes"), [sc.n as f64; 2], "{name}: dense is all-live");
         for sim_threads in [1usize, 4] {
             let sparse = records(sc, 2, PopulationMode::Sparse, sim_threads);
-            assert_eq!(
-                without_gauges(&sparse),
-                without_gauges(&dense),
-                "{name}: sparse records (sim_threads={sim_threads}) diverged from dense"
-            );
+            let (got, want) = match lazy {
+                true => (without_gauges(&sparse), without_gauges(&dense)),
+                false => (sparse, dense.clone()),
+            };
+            assert_eq!(got, want, "{name}: sparse records (sim_threads={sim_threads}) diverged");
         }
-        // Named attribution re-assertion (satellite: lazy instantiation
-        // must not shift blame between honest and adversary ledgers).
+        // Named attribution re-assertion (lazy instantiation must not shift
+        // blame between honest and adversary ledgers).
         let sparse = records(sc, 2, PopulationMode::Sparse, 1);
         for metric in ["dropped_sends", "corrupt_bits", "corrupt_sends", "injected_sends"] {
-            let pick = |runs: &[RunRecord]| -> Vec<f64> {
-                runs.iter()
-                    .flat_map(|r| r.values.iter().filter(|(n, _)| n == metric).map(|(_, v)| *v))
-                    .collect()
-            };
-            assert_eq!(pick(&sparse), pick(&dense), "{name}: {metric} attribution diverged");
+            assert_eq!(pick(&sparse, metric), pick(&dense, metric), "{name}: {metric} diverged");
         }
     }
+    // The empty-plan wrapper is still a lazy execution — the same one,
+    // gauges included.
+    let bare = records(&wide, 2, PopulationMode::Sparse, 1);
+    let peaks = pick(&bare, "peak_live_nodes");
+    assert!(peaks.iter().all(|&peak| peak < 150.0), "lazy at n=300: {peaks:?}");
+    assert_eq!(records(&wide.faults(plan("none")), 2, PopulationMode::Sparse, 1), bare);
 }
 
 proptest! {

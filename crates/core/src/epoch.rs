@@ -172,12 +172,12 @@ impl EpochConfig {
         2 * self.epochs + 1
     }
 
-    /// Whether this configuration can run under the sparse population
-    /// engine. Requires mined leaders and plain mined authentication:
+    /// Whether this configuration can run over a lazy live set
+    /// ([`ba_sim::population`]). Requires mined leaders and plain mined authentication:
     /// round-robin leaders are id-dependent full-participation oracles, and
     /// the Chen–Micali forward-secure regime erases per-node slot keys on
     /// the shared [`FsService`] every round — a per-silent-node side effect
-    /// a ghost cannot mirror. Both fall back to the dense engine.
+    /// a ghost cannot mirror. Both run all-live.
     pub fn supports_sparse(&self) -> bool {
         self.leader == LeaderMode::Mined && matches!(self.auth, Auth::Mined { .. })
     }
@@ -363,8 +363,8 @@ impl Protocol<EpochMsg> for EpochNode {
     }
 }
 
-/// Every tag `round`'s schedule lets a node attest (what the sparse
-/// engine's committee oracle probes). The epoch schedule is rigid —
+/// Every tag `round`'s schedule lets a node attest (what the lazy live
+/// set's committee oracle probes). The epoch schedule is rigid —
 /// proposals on even rounds, acks on odd rounds, nothing in the final tally
 /// round.
 fn round_tags(round: u64, epochs: u64) -> Vec<MineTag> {
@@ -377,9 +377,9 @@ fn round_tags(round: u64, epochs: u64) -> Vec<MineTag> {
 
 /// Runs one execution of an epoch-family protocol and evaluates the verdict
 /// for the agreement problem. Honors [`SimConfig::population`]:
-/// sparse-capable configurations ([`EpochConfig::supports_sparse`]) run
-/// under the sparse engine (byte-identical report); others silently use the
-/// dense engine.
+/// sparse-capable configurations ([`EpochConfig::supports_sparse`]) may run
+/// over a lazy live set (byte-identical report, see
+/// [`ba_sim::Sim::run_population`]); others silently run all-live.
 pub fn run<A: Adversary<EpochMsg> + Send>(
     cfg: &EpochConfig,
     sim: &SimConfig,

@@ -241,12 +241,12 @@ impl IterConfig {
         2 + (self.max_iters.saturating_sub(1)) * 4 + 2
     }
 
-    /// Whether this configuration can run under the sparse population
-    /// engine: speakers must be predictable by probing the eligibility
+    /// Whether this configuration can run over a lazy live set
+    /// ([`ba_sim::population`]): speakers must be predictable by probing the eligibility
     /// backend, which requires mined (committee-subsampled) authentication
     /// and mined leader self-election. Signed regimes (everyone speaks every
     /// round) and the public-leader oracle (id-dependent schedule with full
-    /// Status/Vote participation) fall back to the dense engine.
+    /// Status/Vote participation) run all-live.
     pub fn supports_sparse(&self) -> bool {
         matches!(self.leader, IterLeaderMode::Mined) && matches!(self.auth, Auth::Mined { .. })
     }
@@ -607,7 +607,7 @@ impl Protocol<IterMsg> for IterNode {
 
 /// Every tag `round`'s schedule lets a node attest — plus the Terminate
 /// tags, which `finish` can fire in **any** round once a node decides. The
-/// sparse engine's committee oracle probes exactly these.
+/// lazy live set's committee oracle probes exactly these.
 fn round_tags(round: u64, max_iters: u64) -> Vec<MineTag> {
     let mut tags = vec![MineTag::terminate(false), MineTag::terminate(true)];
     let (iter, phase) = schedule(round);
@@ -628,8 +628,9 @@ fn round_tags(round: u64, max_iters: u64) -> Vec<MineTag> {
 
 /// Runs one execution of an iteration-family protocol and evaluates the
 /// agreement verdict. Honors [`SimConfig::population`]: sparse-capable
-/// configurations ([`IterConfig::supports_sparse`]) run under the sparse
-/// engine (byte-identical report); others silently use the dense engine.
+/// configurations ([`IterConfig::supports_sparse`]) may run over a lazy live
+/// set (byte-identical report, see [`ba_sim::Sim::run_population`]); others
+/// silently run all-live.
 pub fn run<A: Adversary<IterMsg> + Send>(
     cfg: &IterConfig,
     sim: &SimConfig,

@@ -16,10 +16,9 @@
 //! * [`DecideRelay`] — decide, relay the commit quorum once, output, halt;
 //! * [`LeaderTail`] / [`TailMsg`] — the leader-driven
 //!   Vote → Lock → CommitVote → Decide tail of the two competitor families;
-//! * [`run`] — the one execution path: round budget, engine choice
-//!   (sparse or dense), delivery, verdict;
+//! * [`run`] — the one execution path: round budget, execution, verdict;
 //! * [`committees`] — the memoised `would_mine` committee oracle and ghost
-//!   nodes the sparse engine needs, from a family's `round → tags` function.
+//!   nodes a lazy live set needs, from a family's `round → tags` function.
 //!
 //! What stays in a family's own file is its phase table, its justification
 //! rules and its quorum sizes.
@@ -29,9 +28,8 @@ use std::sync::Arc;
 
 use ba_fmine::{Eligibility, MineTag, MsgKind, NeverMine};
 use ba_sim::{
-    evaluate, run_sparse, ActivationOracle, Adversary, Bit, BoxedProtocol, Message, NodeId, Outbox,
-    PopulationMode, Problem, Protocol, Round, RunReport, SimConfig, SparseSpec, TransportSpec,
-    Verdict,
+    evaluate, ActivationOracle, Adversary, Bit, BoxedProtocol, Committee, Message, NodeId, Outbox,
+    Problem, Protocol, Round, RunReport, SimConfig, Verdict,
 };
 
 use crate::auth::{Auth, Evidence};
@@ -531,15 +529,13 @@ pub(crate) enum Budget {
 }
 
 /// Runs one execution: applies the round budget, builds `node(id, input,
-/// seed)` per node, delivers through [`ba_net::execute`] (which realizes
+/// seed)` per node, runs it through [`ba_net::execute`] (which realizes
 /// whatever [`SimConfig::transport`] names) and evaluates `problem`.
 ///
-/// Honors [`SimConfig::population`]: with `sparse` parts the execution runs
-/// under the sparse engine (byte-identical report); without them — signed
-/// regimes, oracle leaders — it silently uses the dense engine. The sparse
-/// engine composes only with the lockstep transport (under a latency/TCP
-/// transport the retained multicast history no longer describes every
-/// silent node's inbox), so other transports fall back to dense too.
+/// `committee` is what lets the execution honor
+/// [`ba_sim::PopulationMode::Sparse`]; whether it then runs over a lazy
+/// live set is the engine's decision ([`ba_sim::Sim::run_population`]), and
+/// the report is the same either way.
 pub(crate) fn run<M, P, A>(
     sim: &SimConfig,
     budget: Budget,
@@ -547,7 +543,7 @@ pub(crate) fn run<M, P, A>(
     inputs: Vec<Bit>,
     adversary: A,
     node: impl Fn(NodeId, Bit, u64) -> P + Send + 'static,
-    sparse: Option<Committees<M>>,
+    committee: Option<Committee<M>>,
 ) -> (RunReport, Verdict)
 where
     M: Message + Send + Sync + 'static,
@@ -563,31 +559,16 @@ where
     let factory = move |id: NodeId, seed: u64| -> BoxedProtocol<M> {
         Box::new(node(id, node_inputs[id.index()], seed))
     };
-    let report = match sparse {
-        Some(Committees { ghosts, oracle })
-            if sim.population == PopulationMode::Sparse
-                && sim.transport == TransportSpec::Lockstep =>
-        {
-            let spec = SparseSpec { factory: Box::new(factory), ghosts, oracle: Box::new(oracle) };
-            run_sparse(&sim, inputs, adversary, spec)
-        }
-        _ => ba_net::execute(&sim, inputs, adversary, factory),
-    };
+    let report = ba_net::execute(&sim, inputs, adversary, factory, committee);
     let verdict = evaluate(problem, &report);
     (report, verdict)
 }
 
-/// What a committee-subsampled family adds so it can run under the sparse
-/// population engine.
-pub(crate) struct Committees<M> {
-    ghosts: [BoxedProtocol<M>; 2],
-    oracle: CommitteeOracle,
-}
-
-/// Builds the sparse-engine parts for a mined regime (`None` for any
-/// other): `tags(round)` lists every statement the family's schedule lets a
-/// node attest in `round`, and `ghost(auth, input)` builds the family's
-/// node under the given regime with the out-of-range id `n`.
+/// Builds what a mined regime adds so its executions can run over a lazy
+/// live set (`None` for any other regime): `tags(round)` lists every
+/// statement the family's schedule lets a node attest in `round`, and
+/// `ghost(auth, input)` builds the family's node under the given regime
+/// with the out-of-range id `n`.
 ///
 /// Ghosts can never win a committee seat ([`NeverMine`]) but verify exactly
 /// like real nodes, and their id makes any accidental send detectable.
@@ -596,7 +577,7 @@ pub(crate) fn committees<M, P: Protocol<M> + Send + 'static>(
     n: usize,
     tags: impl Fn(u64) -> Vec<MineTag> + Send + 'static,
     ghost: impl Fn(Auth, Bit) -> P,
-) -> Option<Committees<M>> {
+) -> Option<Committee<M>> {
     let Auth::Mined { elig, bit_specific, keychain } = auth else { return None };
     let never = |bit| -> BoxedProtocol<M> {
         let auth = Auth::Mined {
@@ -613,14 +594,13 @@ pub(crate) fn committees<M, P: Protocol<M> + Send + 'static>(
         tags: Box::new(tags),
         memo: HashMap::new(),
     };
-    Some(Committees { ghosts: [never(false), never(true)], oracle })
+    Some(Committee { ghosts: [never(false), never(true)], oracle: Box::new(oracle) })
 }
 
-/// Predicts each round's possible speakers for the sparse population engine
-/// by probing the eligibility backend's side-effect-free `would_mine` for
-/// every tag the family's schedule names for the round. Committees are
-/// memoized per probed tag, so each tag costs one `O(n)` probe sweep over
-/// the whole run.
+/// Predicts each round's possible speakers for a lazy live set by probing
+/// the eligibility backend's side-effect-free `would_mine` for every tag the
+/// family's schedule names for the round. Committees are memoized per
+/// probed tag, so each tag costs one `O(n)` probe sweep over the whole run.
 struct CommitteeOracle {
     n: usize,
     /// Mirrors [`Auth::Mined`]'s flag: shared committees probe the

@@ -21,17 +21,14 @@ use ba_sim::adversary::Adversary;
 use ba_sim::engine::{BoxedProtocol, RunReport, Sim, SimConfig};
 use ba_sim::ids::{Bit, NodeId};
 use ba_sim::message::Message;
-use ba_sim::transport::fault::FaultyTransport;
-use ba_sim::transport::{BaseTransport, TransportSpec};
+use ba_sim::population::Committee;
 
 pub use tcp::TcpTransport;
 
-/// Runs one execution under whatever transport `config.transport` names.
-///
-/// The in-core backends (lockstep, simulated latency) are instantiated by
-/// the engine itself; [`TransportSpec::Tcp`] is built here — this function
-/// is what lets protocol crates stay free of I/O while still offering every
-/// backend. Drop-in replacement for [`Sim::run_boxed`].
+/// Runs one execution under whatever transport `config.transport` names:
+/// [`Sim::run_population`] with this crate's TCP loopback backend standing
+/// by for the specs that need real sockets — what lets protocol crates stay
+/// free of I/O while still offering every backend.
 ///
 /// # Panics
 ///
@@ -41,25 +38,16 @@ pub fn execute<M, A>(
     config: &SimConfig,
     inputs: Vec<Bit>,
     adversary: A,
-    factory: impl FnMut(NodeId, u64) -> BoxedProtocol<M> + Send,
+    factory: impl FnMut(NodeId, u64) -> BoxedProtocol<M> + Send + 'static,
+    committee: Option<Committee<M>>,
 ) -> RunReport
 where
     M: Message + Send + Sync + 'static,
     A: Adversary<M> + Send,
 {
-    match config.transport {
-        TransportSpec::Tcp => {
-            let transport = TcpTransport::new(config.n).expect("bind TCP loopback transport");
-            Sim::run_with_transport(config, inputs, adversary, factory, Box::new(transport))
-        }
-        TransportSpec::Faulty { inner: BaseTransport::Tcp, plan } => {
-            let tcp: TcpTransport<M> =
-                TcpTransport::new(config.n).expect("bind TCP loopback transport");
-            let transport = FaultyTransport::new(Box::new(tcp), plan, config.n, config.seed);
-            Sim::run_with_transport(config, inputs, adversary, factory, Box::new(transport))
-        }
-        _ => Sim::run_boxed(config, inputs, adversary, factory),
-    }
+    Sim::run_population(config, inputs, adversary, factory, committee, || {
+        Box::new(TcpTransport::new(config.n).expect("bind TCP loopback transport"))
+    })
 }
 
 #[cfg(test)]
@@ -69,6 +57,7 @@ mod tests {
     use ba_sim::ids::Round;
     use ba_sim::message::{Incoming, Outbox};
     use ba_sim::protocol::Protocol;
+    use ba_sim::transport::{BaseTransport, TransportSpec};
 
     #[derive(Clone, Debug)]
     struct Vote(bool);
@@ -105,9 +94,11 @@ mod tests {
     fn run_with(spec: TransportSpec) -> RunReport {
         let config = SimConfig::new(5, 0, CorruptionModel::Static, 7).with_transport(spec);
         let inputs = vec![true, true, true, false, true];
-        execute(&config, inputs.clone(), Passive, move |id, _| {
-            Box::new(Echo { input: inputs[id.index()], done: None })
-        })
+        let node_inputs = inputs.clone();
+        let factory = move |id: NodeId, _| -> BoxedProtocol<Vote> {
+            Box::new(Echo { input: node_inputs[id.index()], done: None })
+        };
+        execute(&config, inputs, Passive, factory, None)
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //!
 //! Every execution is a pure function of a `u64` seed.
 //!
-//! See the [`engine::Sim`] docs for a complete runnable example.
+//! There is one round engine, [`engine::Sim`]: it steps a live set of
+//! materialized nodes — every node ordinarily; a lazily grown subset
+//! ([`population`]) when a committee-subsampled family supplies its
+//! [`Committee`] and delivery is lockstep — and hands each round's traffic
+//! to a [`Transport`] ([`transport`]). See the [`engine::Sim`] docs for a
+//! complete runnable example.
 
 pub mod adversary;
 pub mod engine;
@@ -35,7 +40,7 @@ pub use engine::{BoxedProtocol, RunReport, Sim, SimConfig};
 pub use ids::{Bit, NodeId, Round};
 pub use message::{Envelope, Incoming, Message, MsgId, Outbox, Recipient};
 pub use metrics::{LatencyStats, Metrics};
-pub use population::{run_sparse, ActivationOracle, PopulationMode, SparseSpec};
+pub use population::{ActivationOracle, Committee, LazyBreach, PopulationMode};
 pub use protocol::Protocol;
 pub use transport::fault::{
     DropFault, DupFault, FaultPlan, FaultStats, FaultyTransport, PartitionFault, ReorderFault,
@@ -46,3 +51,12 @@ pub use transport::{
     DEFAULT_ROUND_MS,
 };
 pub use verdict::{evaluate, Problem, Verdict};
+
+/// Describes `payload` if it is one of the structured failures an execution
+/// raises through `std::panic::panic_any` — a [`TransportError`] or a
+/// [`LazyBreach`] — so a supervisor that caught the unwind can quarantine
+/// that one execution; `None` for any other panic (a bug, to be re-raised).
+pub fn structured_failure(payload: &(dyn std::any::Any + Send)) -> Option<String> {
+    let transport = payload.downcast_ref::<TransportError>().map(ToString::to_string);
+    transport.or_else(|| payload.downcast_ref::<LazyBreach>().map(ToString::to_string))
+}

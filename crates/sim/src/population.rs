@@ -1,20 +1,21 @@
-//! The sparse population engine: materialize only active nodes, stream the
-//! rest.
+//! The lazy live set: what the round engine keeps instead of `n` live nodes.
 //!
-//! The paper's subquadratic protocols have a structural property the dense
-//! engine ignores: in any round, only `O(λ · polylog n)` nodes *speak* —
-//! committee members elected through `F_mine` — while the silent majority
-//! merely listens to multicasts and updates identical local state. At
-//! `n = 10^5..10^6` the dense engine pays `O(n)` memory for protocol
+//! The paper's subquadratic protocols have a structural property an
+//! all-live execution ignores: in any round, only `O(λ · polylog n)` nodes
+//! *speak* — committee members elected through `F_mine` — while the silent
+//! majority merely listens to multicasts and updates identical local state.
+//! At `n = 10^5..10^6` an all-live execution pays `O(n)` memory for protocol
 //! instances and `O(n · multicasts)` for inbox fan-out, which caps feasible
 //! grid sizes long before the paper's asymptotics become visible.
 //!
-//! [`run_sparse`] keeps three things instead of `n` live nodes:
+//! There is one round engine, [`crate::engine::Sim`]; its live set is every
+//! node unless the caller supplies a [`Committee`], in which case it starts
+//! empty and grows on demand. This module holds the parts that make the
+//! growth sound:
 //!
-//! * a **live set** (`BTreeMap` keyed by node id, so every merge iterates in
-//!   node-id order exactly like the dense engine): committee members named by
-//!   the [`ActivationOracle`], every corrupt node, and any node that has
-//!   received a targeted message;
+//! * the **activation oracle** ([`ActivationOracle`]) names each round's
+//!   possible speakers ahead of the round; with every corrupt node and every
+//!   unicast receiver they form the live set;
 //! * a **multicast history** `delivered[r]` — the messages every silent node
 //!   would hold at the start of round `r`. One retained copy stands in for
 //!   `n - live` identical inboxes;
@@ -24,48 +25,38 @@
 //!   its input.
 //!
 //! When a silent node is touched — the oracle names it, the adversary
-//! corrupts it, or a unicast/injection reaches it — it is **lazily
-//! materialized**: a fresh instance is built with the same per-node seed the
-//! dense engine would have used ([`crate::engine`]'s `node_seed`), replayed
-//! through the multicast history, and inserted into the live set. The replay
-//! asserts the node stayed silent in every replayed round; a protocol whose
-//! oracle under-approximates its speakers fails loudly instead of silently
-//! diverging.
+//! corrupts it, or a unicast/injection reaches it — it is **materialized**:
+//! a fresh instance is built from the same per-node seed an all-live
+//! execution uses, replayed through the multicast history, and inserted into
+//! the live set. A replayed node or a ghost that sends breaks the premise
+//! (the oracle under-approximated, or the configuration is not sparse-safe)
+//! and raises a structured [`LazyBreach`] instead of silently diverging.
 //!
 //! # Byte-identity
 //!
-//! Wherever a protocol family supports sparse execution, a sparse run's
-//! [`RunReport`] is **equal** to the dense run's at every thread count: same
-//! outputs, rounds, corruption schedule, and every protocol observable in
-//! [`Metrics`]. The only fields that differ are the engine-memory gauges
+//! A lazy execution's [`crate::engine::RunReport`] is **equal** to the
+//! all-live one's at every thread count: same outputs, rounds, corruption
+//! schedule, and every protocol observable in [`crate::metrics::Metrics`].
+//! The only fields that differ are the engine-memory gauges
 //! (`peak_live_nodes`, `peak_resident_msgs`), which are excluded from
-//! `Metrics` equality by design. Families that cannot run sparsely (regimes
-//! where every node speaks, or id-dependent oracles with per-node side
-//! effects) simply do not offer a sparse spec and fall back to the dense
-//! engine.
+//! `Metrics` equality by design. Which executions may run lazily is decided
+//! in one place, [`crate::engine::Sim::run_population`].
 
-use std::collections::BTreeMap;
-use std::sync::Arc;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::adversary::{AdvCtx, AdvWorld, Adversary};
-use crate::engine::{node_seed, BoxedProtocol, NodeStep, RunReport, SimConfig};
+use crate::engine::BoxedProtocol;
 use crate::ids::{Bit, NodeId, Round};
-use crate::message::{Envelope, Incoming, Message, MsgId, Outbox, Recipient};
-use crate::metrics::Metrics;
+use crate::message::{Incoming, Message, Outbox};
 
-/// Which engine drives an execution. A resource knob, not a protocol
-/// parameter: reports are byte-identical wherever both engines run.
+/// How much of the population an execution keeps live. A resource knob, not
+/// a protocol parameter: reports are byte-identical wherever both run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum PopulationMode {
-    /// Materialize all `n` protocol instances up front (the classic engine).
+    /// Materialize all `n` protocol instances up front.
     #[default]
     Dense,
     /// Materialize only active nodes; mirror the silent majority through
-    /// ghosts and a retained multicast history. Falls back to dense for
-    /// protocol configurations that cannot run sparsely.
+    /// ghosts and a retained multicast history. Falls back to dense where
+    /// [`crate::engine::Sim::run_population`] says a lazy live set is
+    /// unsound or the protocol supplies no [`Committee`].
     Sparse,
 }
 
@@ -103,705 +94,171 @@ impl std::str::FromStr for PopulationMode {
 /// eligibility backend's side-effect-free `would_mine`. Over-approximation is
 /// safe — activating a node that stays silent costs memory, never
 /// observables — but **under-approximation is not**: a node that would have
-/// spoken while unmaterialized trips the replay assertion.
+/// spoken while unmaterialized raises [`LazyBreach::ReplayedNodeSent`].
 pub trait ActivationOracle: Send {
     /// Node ids that must be live when `round` steps. Already-live and
     /// out-of-range ids are ignored; order and duplicates don't matter.
     fn candidates(&mut self, round: Round) -> Vec<NodeId>;
 }
 
-/// Everything a protocol family provides to run under the sparse engine.
-pub struct SparseSpec<M> {
-    /// Builds node `id`'s protocol instance from its per-node seed — the
-    /// *same* factory the dense engine uses, so lazily materialized nodes
-    /// draw exactly the randomness their dense twins drew.
-    pub factory: Box<dyn FnMut(NodeId, u64) -> BoxedProtocol<M> + Send>,
+/// What a committee-subsampled protocol family supplies, beside its node
+/// factory, so its executions can run over a lazy live set.
+pub struct Committee<M> {
     /// One representative silent node per input bit (`ghosts[0]` holds input
     /// `false`, `ghosts[1]` input `true`), built so that it can never mine a
-    /// committee seat (e.g. with a `NeverMine`-wrapped eligibility) and with
-    /// an out-of-range id so any accidental send is detectable. Silent
+    /// committee seat (e.g. with a `NeverMine`-wrapped eligibility). Silent
     /// honest nodes mirror the ghost carrying their input.
     pub ghosts: [BoxedProtocol<M>; 2],
     /// Names each round's speakers ahead of the round.
     pub oracle: Box<dyn ActivationOracle>,
 }
 
-/// A materialized node: its protocol instance plus its private inbox (the
-/// sparse engine has no `n`-wide inbox vectors to index into).
-struct LiveNode<M> {
-    proto: BoxedProtocol<M>,
-    inbox: Vec<Incoming<M>>,
+/// A lazy execution caught its premise failing: a node that was treated as
+/// silent sent a message. Raised through `std::panic::panic_any` (node
+/// stepping returns `()`), like [`crate::transport::TransportError`], so a
+/// supervising layer can quarantine the one execution
+/// ([`crate::structured_failure`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum LazyBreach {
+    /// `node` sent while being replayed through `round`: the activation
+    /// oracle under-approximated the round's speakers.
+    ReplayedNodeSent {
+        /// The node being materialized.
+        node: usize,
+        /// The replayed round it sent in.
+        round: u64,
+    },
+    /// The ghost carrying `input` sent in `round`: the protocol
+    /// configuration is not sparse-safe.
+    GhostSent {
+        /// The ghost's input bit.
+        input: Bit,
+        /// The round it sent in.
+        round: u64,
+    },
 }
+
+impl std::fmt::Display for LazyBreach {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LazyBreach::ReplayedNodeSent { node, round } => write!(
+                f,
+                "lazy activation: node {node} sent while replaying round {round}; \
+                 the activation oracle under-approximated the active set"
+            ),
+            LazyBreach::GhostSent { input, round } => write!(
+                f,
+                "lazy ghost (input bit {input}) sent in round {round}; \
+                 this protocol configuration is not sparse-safe"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for LazyBreach {}
 
 /// A ghost: the shared state machine of every silent node with one input bit.
 struct Ghost<M> {
     proto: BoxedProtocol<M>,
     /// Set once the ghost halts *and* its halt has been mirrored — from then
-    /// on the silent nodes it represents are frozen, exactly as the dense
-    /// engine freezes halted honest nodes.
+    /// on the silent nodes it represents are frozen, exactly as halted live
+    /// nodes are.
     done: bool,
 }
 
-/// The sparse execution driver. Phases 2b–5 of each round are line-for-line
-/// the dense engine's ([`crate::engine::Sim`]); phase 2a runs over the live
-/// set instead of `0..n`, and activation hooks run at round start (oracle),
-/// after intervention (fresh corruptions), and during delivery (targeted
-/// messages).
-struct SparseSim<M, A> {
-    live: BTreeMap<usize, LiveNode<M>>,
-    world: AdvWorld<M>,
-    adversary: A,
-    metrics: Metrics,
-    output_rounds: Vec<Option<Round>>,
-    max_rounds: u64,
-    threads: usize,
-    rng: StdRng,
-    seed: u64,
+/// The engine-side state of a lazy execution: the [`Committee`] parts, the
+/// node factory and the multicast history late activations replay.
+pub(crate) struct Lazy<M> {
     factory: Box<dyn FnMut(NodeId, u64) -> BoxedProtocol<M> + Send>,
     ghosts: [Ghost<M>; 2],
-    oracle: Box<dyn ActivationOracle>,
+    pub(crate) oracle: Box<dyn ActivationOracle>,
+    seed: u64,
     /// `delivered[r]` = the multicasts every silent honest node holds at the
     /// start of round `r` (so `delivered[0]` is empty). Retained for the
     /// whole run: it is the replay tape for late activations.
-    delivered: Vec<Arc<Vec<Incoming<M>>>>,
-    /// Total messages in `delivered` (for the resident-message gauge).
-    history_msgs: u64,
+    delivered: Vec<Vec<Incoming<M>>>,
+    /// Total messages in `delivered` (the resident-message gauge's share for
+    /// the silent inboxes the history stands in for).
+    pub(crate) history_msgs: u64,
 }
 
-/// Runs one execution under the sparse population engine and returns a report
-/// byte-identical to what [`crate::engine::Sim::run_protocol`] produces for
-/// the same `(config, inputs, adversary, factory)` — modulo the two
-/// engine-memory gauges, which `Metrics` equality ignores.
-///
-/// # Panics
-///
-/// Panics if `inputs.len() != config.n` or `config.f >= config.n` (like the
-/// dense engine), and if the spec's oracle under-approximates the active set
-/// (a replayed node or a ghost attempts to send).
-pub fn run_sparse<M: Message + Send + Sync, A: Adversary<M>>(
-    config: &SimConfig,
-    inputs: Vec<Bit>,
-    adversary: A,
-    spec: SparseSpec<M>,
-) -> RunReport {
-    assert_eq!(inputs.len(), config.n, "one input per node");
-    assert!(config.f < config.n, "corruption budget must leave one honest node");
-    let world = AdvWorld {
-        model: config.model,
-        f: config.f,
-        round: Round::ZERO,
-        in_setup: false,
-        corrupt_at: vec![None; config.n],
-        pending: Vec::new(),
-        injected: Vec::new(),
-        next_msg_id: 0,
-        inputs,
-        outputs: vec![None; config.n],
-        halted: vec![false; config.n],
-        removals: 0,
-    };
-    let [g0, g1] = spec.ghosts;
-    SparseSim {
-        live: BTreeMap::new(),
-        world,
-        adversary,
-        metrics: Metrics::default(),
-        output_rounds: vec![None; config.n],
-        max_rounds: config.max_rounds,
-        threads: config.threads.max(1),
-        rng: StdRng::seed_from_u64(config.seed ^ 0xAD5E_55A1_D0BE_EF00),
-        seed: config.seed,
-        factory: spec.factory,
-        ghosts: [Ghost { proto: g0, done: false }, Ghost { proto: g1, done: false }],
-        oracle: spec.oracle,
-        delivered: Vec::new(),
-        history_msgs: 0,
-    }
-    .run()
-}
-
-impl<M: Message + Send + Sync, A: Adversary<M>> SparseSim<M, A> {
-    fn n(&self) -> usize {
-        self.world.corrupt_at.len()
-    }
-
-    fn run(mut self) -> RunReport {
-        // Setup phase: static adversaries corrupt here.
-        self.world.in_setup = true;
-        {
-            let mut ctx = AdvCtx { world: &mut self.world, rng: &mut self.rng };
-            self.adversary.setup(&mut ctx);
-        }
-        self.world.in_setup = false;
-        // Round 0 starts with empty inboxes everywhere.
-        self.delivered.push(Arc::new(Vec::new()));
-        // Setup-corrupted nodes are live from the start (no rounds to
-        // replay yet).
-        let setup_corrupt: Vec<usize> =
-            (0..self.n()).filter(|&i| self.world.corrupt_at[i].is_some()).collect();
-        for i in setup_corrupt {
-            self.materialize(i, 0);
-        }
-        self.gauge_live();
-
-        let mut rounds_used = 0;
-        for r in 0..self.max_rounds {
-            let round = Round(r);
-            self.world.round = round;
-            rounds_used = r + 1;
-            self.step_round(round);
-            // Execution ends when every so-far-honest node has halted.
-            let all_honest_halted = (0..self.n())
-                .filter(|&i| self.world.corrupt_at[i].is_none())
-                .all(|i| self.world.halted[i]);
-            if all_honest_halted {
-                break;
-            }
-        }
-
-        self.metrics.rounds = rounds_used;
-        self.metrics.corruptions =
-            self.world.corrupt_at.iter().filter(|c| c.is_some()).count() as u64;
-        self.metrics.removals = self.world.removals as u64;
-        RunReport {
-            outputs: self.world.outputs.clone(),
-            output_rounds: self.output_rounds.clone(),
-            corrupt_at: self.world.corrupt_at.clone(),
-            halted: self.world.halted.clone(),
-            metrics: self.metrics.clone(),
-            rounds_used,
-            inputs: self.world.inputs.clone(),
+impl<M: Message> Lazy<M> {
+    pub(crate) fn new(
+        committee: Committee<M>,
+        factory: Box<dyn FnMut(NodeId, u64) -> BoxedProtocol<M> + Send>,
+        seed: u64,
+    ) -> Lazy<M> {
+        Lazy {
+            factory,
+            ghosts: committee.ghosts.map(|proto| Ghost { proto, done: false }),
+            oracle: committee.oracle,
+            seed,
+            delivered: vec![Vec::new()],
+            history_msgs: 0,
         }
     }
 
-    /// Builds node `i` from its dense-identical per-node seed and replays it
-    /// through rounds `0..steps` of the multicast history, asserting it stays
-    /// silent throughout (a send during replay means the activation oracle
-    /// missed a speaker — observables would already have diverged).
-    fn materialize(&mut self, i: usize, steps: u64) {
-        debug_assert!(!self.live.contains_key(&i), "node {i} is already live");
-        let mut proto = (self.factory)(NodeId(i), node_seed(self.seed, i));
+    /// The inbox every silent honest node holds at the start of `round`.
+    pub(crate) fn silent_inbox(&self, round: Round) -> &[Incoming<M>] {
+        &self.delivered[round.0 as usize]
+    }
+
+    /// Appends the multicasts delivered for the next round to the history.
+    pub(crate) fn retain(&mut self, multicasts: Vec<Incoming<M>>) {
+        self.history_msgs += multicasts.len() as u64;
+        self.delivered.push(multicasts);
+    }
+
+    /// Builds node `i` from the per-node seed its all-live twin gets and
+    /// replays it through rounds `0..steps` of the multicast history. A send
+    /// during replay means the oracle missed a speaker — observables would
+    /// already have diverged.
+    pub(crate) fn materialize(&mut self, i: usize, steps: u64) -> BoxedProtocol<M> {
+        let mut proto = (self.factory)(NodeId(i), crate::engine::node_seed(self.seed, i));
         let mut out = Outbox::new();
-        for t in 0..steps {
+        for round in 0..steps {
             if proto.halted() {
-                break; // the dense engine stops stepping halted honest nodes
+                break; // halted honest nodes are no longer stepped
             }
-            proto.step(Round(t), &self.delivered[t as usize], &mut out);
-            assert!(
-                out.take().is_empty(),
-                "sparse activation: node {i} sent while replaying round {t}; \
-                 the activation oracle under-approximated the active set"
-            );
+            proto.step(Round(round), &self.delivered[round as usize], &mut out);
+            if !out.take().is_empty() {
+                std::panic::panic_any(LazyBreach::ReplayedNodeSent { node: i, round });
+            }
         }
-        self.live.insert(i, LiveNode { proto, inbox: Vec::new() });
+        proto
     }
 
-    /// High-water mark of the live set (ghosts excluded: they are engine
-    /// bookkeeping, not materialized protocol participants).
-    fn gauge_live(&mut self) {
-        self.metrics.peak_live_nodes = self.metrics.peak_live_nodes.max(self.live.len() as u64);
+    /// Steps the unfrozen ghosts with the silent-majority inbox. They were
+    /// built never to win a committee seat, so a send is a breach.
+    pub(crate) fn step_ghosts(&mut self, round: Round) {
+        let inbox = &self.delivered[round.0 as usize];
+        for (input, ghost) in self.ghosts.iter_mut().enumerate().filter(|(_, g)| !g.done) {
+            let mut out = Outbox::new();
+            ghost.proto.step(round, inbox, &mut out);
+            if !out.take().is_empty() {
+                std::panic::panic_any(LazyBreach::GhostSent { input: input == 1, round: round.0 });
+            }
+        }
     }
 
-    fn step_round(&mut self, round: Round) {
-        let n = self.n();
-        let r = round.0;
-
-        // 0. Round-start activation: every node the oracle names as a
-        // potential speaker this round is replayed to the present and primed
-        // with the silent-majority inbox `delivered[r]`.
-        let cands = self.oracle.candidates(round);
-        for id in cands {
-            let i = id.index();
-            if i >= n || self.live.contains_key(&i) {
-                continue;
-            }
-            self.materialize(i, r);
-            let inbox = self.delivered[r as usize].as_ref().clone();
-            self.live.get_mut(&i).expect("just inserted").inbox = inbox;
-        }
-
-        // 2a/2b. Step the live set (phase numbering matches the dense
-        // engine; sparse has no phase-1 buffer swap — each live node owns
-        // its inbox).
-        let ids: Vec<usize> = self.live.keys().copied().collect();
-        let mut results: Vec<Option<NodeStep<M>>> = ids.iter().map(|_| None).collect();
-        {
-            let mut entries: Vec<(usize, &mut LiveNode<M>)> =
-                self.live.iter_mut().map(|(k, v)| (*k, v)).collect();
-
-            // 2a. So-far-honest live nodes, on worker threads when
-            // configured — same merge-in-id-order contract as dense.
-            {
-                let corrupt_at = &self.world.corrupt_at;
-                let halted = &self.world.halted;
-                let step_honest = |node: &mut LiveNode<M>, i: usize| -> Option<NodeStep<M>> {
-                    if corrupt_at[i].is_some() {
-                        return None; // stepped serially in phase 2b
-                    }
-                    if halted[i] {
-                        node.inbox.clear();
-                        return None; // halted honest nodes stay silent
-                    }
-                    let mut outbox = Outbox::new();
-                    node.proto.step(round, &node.inbox, &mut outbox);
-                    node.inbox.clear();
-                    Some(NodeStep {
-                        sends: outbox.take(),
-                        honest: true,
-                        output: node.proto.output(),
-                        halted: node.proto.halted(),
-                    })
-                };
-                let k = entries.len();
-                let workers = self.threads.min(k).max(1);
-                if workers <= 1 {
-                    for (slot, (i, node)) in results.iter_mut().zip(entries.iter_mut()) {
-                        *slot = step_honest(node, *i);
-                    }
-                } else {
-                    let chunk = k.div_ceil(workers);
-                    std::thread::scope(|scope| {
-                        for (ents, slots) in
-                            entries.chunks_mut(chunk).zip(results.chunks_mut(chunk))
-                        {
-                            let step_honest = &step_honest;
-                            scope.spawn(move || {
-                                for ((i, node), slot) in ents.iter_mut().zip(slots) {
-                                    *slot = step_honest(node, *i);
-                                }
-                            });
-                        }
-                    });
-                }
-            }
-
-            // Ghosts step with the silent-majority inbox. They were built
-            // never to win a committee seat, so a send here means the
-            // protocol configuration is not sparse-safe.
-            let start_inbox = Arc::clone(&self.delivered[r as usize]);
-            for (b, g) in self.ghosts.iter_mut().enumerate() {
-                if g.done {
-                    continue;
-                }
-                let mut gout = Outbox::new();
-                g.proto.step(round, &start_inbox, &mut gout);
-                assert!(
-                    gout.take().is_empty(),
-                    "sparse ghost (input bit {b}) attempted to send in round {r}; \
-                     this protocol configuration is not sparse-safe"
-                );
-            }
-
-            // 2b. Corrupt nodes serially, in node-id order (BTreeMap order),
-            // preserving the adversary's call sequence.
-            for ((i, node), slot) in entries.iter_mut().zip(results.iter_mut()) {
-                if self.world.corrupt_at[*i].is_none() {
-                    continue;
-                }
-                let inbox = std::mem::take(&mut node.inbox);
-                let mut filtered = self.adversary.filter_corrupt_inbox(NodeId(*i), inbox, round);
-                let mut outbox = Outbox::new();
-                node.proto.step(round, &filtered, &mut outbox);
-                filtered.clear();
-                node.inbox = filtered;
-                let sends = self.adversary.corrupt_outbox(NodeId(*i), outbox.take(), round);
-                *slot = Some(NodeStep { sends, honest: false, output: None, halted: false });
-            }
-        }
-
-        // 2c. Merge in node-id order. Silent nodes have no sends by
-        // definition, so skipping them leaves the message-id sequence
-        // exactly as the dense engine assigns it.
-        let mut pending: Vec<Envelope<M>> = Vec::new();
-        for (i, slot) in ids.iter().copied().zip(results) {
-            let Some(step) = slot else { continue };
-            for (to, msg) in step.sends {
-                let id = MsgId(self.world.next_msg_id);
-                self.world.next_msg_id += 1;
-                pending.push(Envelope {
-                    id,
-                    from: NodeId(i),
-                    to,
-                    round,
-                    honest_send: step.honest,
-                    removed: false,
-                    msg: Arc::new(msg),
-                });
-            }
-            if step.honest {
-                if let Some(bit) = step.output {
-                    if self.world.outputs[i].is_none() {
-                        self.world.outputs[i] = Some(bit);
-                        self.output_rounds[i] = Some(round);
-                    }
-                }
-                self.world.halted[i] = step.halted;
-            }
-        }
-        // Mirror ghost bookkeeping onto silent honest nodes, with the same
-        // set-once output rule and halt freezing the dense merge applies.
-        for i in 0..n {
-            if self.world.corrupt_at[i].is_some() || self.live.contains_key(&i) {
-                continue;
-            }
-            let g = &self.ghosts[usize::from(self.world.inputs[i])];
-            if g.done {
-                continue; // frozen, like a dense halted honest node
-            }
-            if let Some(bit) = g.proto.output() {
-                if self.world.outputs[i].is_none() {
-                    self.world.outputs[i] = Some(bit);
-                    self.output_rounds[i] = Some(round);
-                }
-            }
-            self.world.halted[i] = g.proto.halted();
-        }
-        for g in self.ghosts.iter_mut() {
-            if !g.done && g.proto.halted() {
-                g.done = true;
-            }
-        }
-
-        // 3. Meter sends (identical to dense).
-        for env in &pending {
-            match (env.honest_send, env.to) {
-                (true, Recipient::All) => {
-                    self.metrics.honest_multicasts += 1;
-                    self.metrics.honest_multicast_bits += env.msg.size_bits() as u64;
-                    self.metrics.honest_cert_bits += env.msg.cert_bits() as u64;
-                }
-                (true, Recipient::One(_)) => {
-                    self.metrics.honest_unicasts += 1;
-                    self.metrics.honest_unicast_bits += env.msg.size_bits() as u64;
-                    self.metrics.honest_cert_bits += env.msg.cert_bits() as u64;
-                }
-                (false, _) => {
-                    self.metrics.corrupt_sends += 1;
-                    self.metrics.corrupt_bits += env.msg.size_bits() as u64;
-                }
-            }
-        }
-
-        // 4. Adversary intervention (identical to dense), then materialize
-        // any node corrupted this round while silent: its dense twin stepped
-        // honestly through round `r`, so the replay includes round `r`.
-        self.world.pending = pending;
-        {
-            let mut ctx = AdvCtx { world: &mut self.world, rng: &mut self.rng };
-            self.adversary.intervene(&mut ctx);
-        }
-        let injected = std::mem::take(&mut self.world.injected);
-        for env in &injected {
-            self.metrics.corrupt_sends += 1;
-            self.metrics.corrupt_bits += env.msg.size_bits() as u64;
-            self.metrics.injected_sends += 1;
-            debug_assert!(!env.honest_send);
-        }
-        let mut deliverable = std::mem::take(&mut self.world.pending);
-        deliverable.extend(injected);
-
-        let newly_corrupt: Vec<usize> = (0..n)
-            .filter(|&i| self.world.corrupt_at[i] == Some(round) && !self.live.contains_key(&i))
-            .collect();
-        for i in newly_corrupt {
-            self.materialize(i, r + 1);
-        }
-
-        // 5. Delivery. Multicasts fan out to live inboxes and are retained
-        // once in the history; a targeted message reaching a silent node
-        // activates it mid-loop with exactly the inbox its dense twin holds
-        // at that point (all multicasts delivered so far, in envelope
-        // order — earlier unicasts to it would have activated it already).
-        let mut mcasts: Vec<Incoming<M>> = Vec::new();
-        for env in deliverable {
-            if env.removed {
-                continue;
-            }
-            match env.to {
-                Recipient::All => {
-                    let inc = Incoming { from: env.from, msg: Arc::clone(&env.msg) };
-                    for node in self.live.values_mut() {
-                        node.inbox.push(inc.clone());
-                    }
-                    mcasts.push(inc);
-                }
-                Recipient::One(target) => {
-                    let t = target.index();
-                    if t < n {
-                        if !self.live.contains_key(&t) {
-                            self.materialize(t, r + 1);
-                            self.live.get_mut(&t).expect("just inserted").inbox = mcasts.clone();
-                        }
-                        self.live
-                            .get_mut(&t)
-                            .expect("live")
-                            .inbox
-                            .push(Incoming { from: env.from, msg: env.msg });
-                    } else {
-                        debug_assert!(
-                            !env.honest_send,
-                            "honest node {:?} unicast to out-of-range node {:?}",
-                            env.from, target
-                        );
-                        self.metrics.dropped_sends += 1;
-                    }
-                }
-            }
-        }
-        self.history_msgs += mcasts.len() as u64;
-        self.delivered.push(Arc::new(mcasts));
-
-        // Gauges: live-set high-water mark and resident messages (live
-        // inboxes plus the retained history standing in for silent inboxes).
-        self.gauge_live();
-        let live_resident: u64 = self.live.values().map(|nd| nd.inbox.len() as u64).sum();
-        self.metrics.peak_resident_msgs =
-            self.metrics.peak_resident_msgs.max(live_resident + self.history_msgs);
+    /// What the silent honest nodes with input `false` / `true` report after
+    /// this round's step — `(output, halted)`, or `None` once frozen. A
+    /// ghost that has now halted is frozen from the next round on.
+    pub(crate) fn ghost_reports(&mut self) -> [Option<(Option<Bit>, bool)>; 2] {
+        let report = |ghost: &mut Ghost<M>| {
+            let halted = ghost.proto.halted();
+            let report = (!ghost.done).then(|| (ghost.proto.output(), halted));
+            ghost.done |= halted;
+            report
+        };
+        let [g0, g1] = &mut self.ghosts;
+        [report(g0), report(g1)]
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{CorruptionModel, Passive};
-    use crate::engine::Sim;
-    use crate::protocol::Protocol;
-
-    #[derive(Clone, Debug)]
-    struct Vote(u64);
-
-    impl Message for Vote {
-        fn size_bits(&self) -> usize {
-            64
-        }
-    }
-
-    /// A sparse-safe toy: a fixed committee multicasts its input in round 0,
-    /// everyone tallies in round 1 and halts. Nodes outside the committee
-    /// never send, and their state depends only on the multicast stream —
-    /// exactly the structure the real subquadratic protocols have.
-    struct CommitteeVote {
-        input: Bit,
-        speaks: bool,
-        decided: Option<Bit>,
-        /// When poked by a targeted `Vote(99)`, echo a multicast next round
-        /// (exercises delivery-time activation followed by live sends).
-        poked: bool,
-    }
-
-    impl CommitteeVote {
-        fn new(input: Bit, speaks: bool) -> CommitteeVote {
-            CommitteeVote { input, speaks, decided: None, poked: false }
-        }
-    }
-
-    impl Protocol<Vote> for CommitteeVote {
-        fn step(&mut self, round: Round, inbox: &[Incoming<Vote>], out: &mut Outbox<Vote>) {
-            if inbox.iter().any(|m| m.msg.0 == 99) {
-                self.poked = true;
-            }
-            match round.0 {
-                0 if self.speaks => {
-                    out.multicast(Vote(self.input as u64));
-                }
-                1 => {
-                    if self.poked {
-                        out.multicast(Vote(7));
-                    }
-                    let ones = inbox.iter().filter(|m| m.msg.0 == 1).count();
-                    let zeros = inbox.iter().filter(|m| m.msg.0 == 0).count();
-                    self.decided = Some(ones >= zeros);
-                }
-                _ => {}
-            }
-        }
-
-        fn output(&self) -> Option<Bit> {
-            self.decided
-        }
-
-        fn halted(&self) -> bool {
-            self.decided.is_some()
-        }
-    }
-
-    const COMMITTEE: usize = 4;
-
-    fn committee_factory(
-        inputs: Vec<Bit>,
-    ) -> impl FnMut(NodeId, u64) -> BoxedProtocol<Vote> + Send {
-        move |id: NodeId, _seed: u64| -> BoxedProtocol<Vote> {
-            let input = inputs.get(id.index()).copied().unwrap_or(false);
-            Box::new(CommitteeVote::new(input, id.index() < COMMITTEE))
-        }
-    }
-
-    struct CommitteeOracle;
-
-    impl ActivationOracle for CommitteeOracle {
-        fn candidates(&mut self, _round: Round) -> Vec<NodeId> {
-            (0..COMMITTEE).map(NodeId).collect()
-        }
-    }
-
-    fn spec_for(inputs: &[Bit], _n: usize) -> SparseSpec<Vote> {
-        SparseSpec {
-            factory: Box::new(committee_factory(inputs.to_vec())),
-            ghosts: [
-                Box::new(CommitteeVote::new(false, false)),
-                Box::new(CommitteeVote::new(true, false)),
-            ],
-            oracle: Box::new(CommitteeOracle),
-        }
-    }
-
-    fn mixed_inputs(n: usize) -> Vec<Bit> {
-        (0..n).map(|i| i % 3 == 0).collect()
-    }
-
-    #[test]
-    fn sparse_report_byte_identical_to_dense_passive() {
-        let n = 64;
-        let inputs = mixed_inputs(n);
-        let cfg = SimConfig::new(n, 0, CorruptionModel::Static, 11);
-        let dense =
-            Sim::run_protocol(&cfg, inputs.clone(), Passive, committee_factory(inputs.clone()));
-        let sparse = run_sparse(&cfg, inputs.clone(), Passive, spec_for(&inputs, n));
-        assert_eq!(sparse, dense);
-        // The point of the exercise: far fewer live nodes.
-        assert!(sparse.metrics.peak_live_nodes <= COMMITTEE as u64);
-        assert_eq!(dense.metrics.peak_live_nodes, n as u64);
-        assert!(sparse.metrics.peak_resident_msgs < dense.metrics.peak_resident_msgs);
-    }
-
-    #[test]
-    fn sparse_identical_across_thread_counts() {
-        let n = 40;
-        let inputs = mixed_inputs(n);
-        let base = SimConfig::new(n, 0, CorruptionModel::Static, 3);
-        let serial = run_sparse(&base, inputs.clone(), Passive, spec_for(&inputs, n));
-        for threads in [2usize, 4, 64] {
-            let cfg = base.clone().with_threads(threads);
-            let multi = run_sparse(&cfg, inputs.clone(), Passive, spec_for(&inputs, n));
-            assert_eq!(multi, serial, "threads={threads} changed the sparse execution");
-        }
-    }
-
-    /// Adversary that corrupts committee node 0 at setup and silences it.
-    struct SilenceZero;
-
-    impl Adversary<Vote> for SilenceZero {
-        fn setup(&mut self, ctx: &mut AdvCtx<'_, Vote>) {
-            ctx.corrupt(NodeId(0)).expect("budget");
-        }
-
-        fn corrupt_outbox(
-            &mut self,
-            _node: NodeId,
-            _planned: Vec<(Recipient, Vote)>,
-            _round: Round,
-        ) -> Vec<(Recipient, Vote)> {
-            Vec::new()
-        }
-    }
-
-    #[test]
-    fn sparse_matches_dense_with_setup_corruption() {
-        let n = 48;
-        let inputs = mixed_inputs(n);
-        let cfg = SimConfig::new(n, 1, CorruptionModel::Static, 7);
-        let dense =
-            Sim::run_protocol(&cfg, inputs.clone(), SilenceZero, committee_factory(inputs.clone()));
-        let sparse = run_sparse(&cfg, inputs.clone(), SilenceZero, spec_for(&inputs, n));
-        assert_eq!(sparse, dense);
-        assert_eq!(sparse.corrupt_at[0], Some(Round::ZERO));
-    }
-
-    /// Corrupts a *silent* node mid-run and injects unicasts at silent
-    /// targets — both in-range (delivery-time activation) and out-of-range
-    /// (dropped-send accounting).
-    struct PokeSilent;
-
-    impl Adversary<Vote> for PokeSilent {
-        fn intervene(&mut self, ctx: &mut AdvCtx<'_, Vote>) {
-            if ctx.round().0 == 0 {
-                // Node 30 is far outside the committee: silent until now.
-                ctx.corrupt(NodeId(30)).expect("budget");
-                ctx.inject(NodeId(30), Recipient::One(NodeId(25)), Vote(99)).expect("inject");
-                ctx.inject(NodeId(30), Recipient::One(NodeId(9999)), Vote(99)).expect("inject");
-            }
-        }
-    }
-
-    #[test]
-    fn sparse_matches_dense_under_silent_corruption_and_injection() {
-        let n = 40;
-        let inputs = mixed_inputs(n);
-        let cfg = SimConfig::new(n, 1, CorruptionModel::Adaptive, 5);
-        let dense =
-            Sim::run_protocol(&cfg, inputs.clone(), PokeSilent, committee_factory(inputs.clone()));
-        let sparse = run_sparse(&cfg, inputs.clone(), PokeSilent, spec_for(&inputs, n));
-        assert_eq!(sparse, dense);
-        // The poked node (25) echoed a multicast after delivery-time
-        // activation; the out-of-range injection was dropped in both modes.
-        assert_eq!(sparse.metrics.dropped_sends, 1);
-        assert_eq!(sparse.metrics.injected_sends, 2);
-        assert!(sparse.metrics.honest_multicasts > COMMITTEE as u64);
-    }
-
-    /// An oracle that misses a speaker must fail the replay assertion, not
-    /// silently drop that node's messages.
-    #[test]
-    #[should_panic(expected = "under-approximated")]
-    fn under_approximating_oracle_panics() {
-        struct MissesNodeZero;
-        impl ActivationOracle for MissesNodeZero {
-            fn candidates(&mut self, _round: Round) -> Vec<NodeId> {
-                (1..COMMITTEE).map(NodeId).collect()
-            }
-        }
-        let n = 16;
-        let inputs = mixed_inputs(n);
-        let cfg = SimConfig::new(n, 1, CorruptionModel::Adaptive, 2);
-        // Corrupting node 0 at round 1 forces its late materialization; the
-        // replay of round 0 catches the send the oracle hid.
-        struct CorruptZeroLate;
-        impl Adversary<Vote> for CorruptZeroLate {
-            fn intervene(&mut self, ctx: &mut AdvCtx<'_, Vote>) {
-                if ctx.round().0 == 1 {
-                    ctx.corrupt(NodeId(0)).expect("budget");
-                }
-            }
-        }
-        let spec = SparseSpec {
-            factory: Box::new(committee_factory(inputs.clone())),
-            ghosts: [
-                Box::new(CommitteeVote::new(false, false)),
-                Box::new(CommitteeVote::new(true, false)),
-            ],
-            oracle: Box::new(MissesNodeZero),
-        };
-        let _ = run_sparse(&cfg, inputs, CorruptZeroLate, spec);
-    }
-
-    /// A ghost that would speak (mis-built spec) must also fail loudly.
-    #[test]
-    #[should_panic(expected = "not sparse-safe")]
-    fn speaking_ghost_panics() {
-        let n = 8;
-        let inputs = mixed_inputs(n);
-        let cfg = SimConfig::new(n, 0, CorruptionModel::Static, 1);
-        let spec = SparseSpec {
-            factory: Box::new(committee_factory(inputs.clone())),
-            // Wrong: ghosts built as committee members.
-            ghosts: [
-                Box::new(CommitteeVote::new(false, true)),
-                Box::new(CommitteeVote::new(true, true)),
-            ],
-            oracle: Box::new(CommitteeOracle),
-        };
-        let _ = run_sparse(&cfg, inputs, Passive, spec);
-    }
 
     #[test]
     fn population_mode_round_trips_through_str() {

@@ -9,8 +9,9 @@
 //!
 //! * [`lockstep::LockstepTransport`] — the classic synchronous model:
 //!   everything sent in round `r` arrives at the start of round `r + 1`, in
-//!   send order. Byte-identical to the pre-seam engine, and the only backend
-//!   the sparse population engine composes with.
+//!   send order. Byte-identical to the pre-seam engine, and the only
+//!   delivery rule under which the engine may keep a lazy live set
+//!   ([`crate::engine::Sim::run_population`] says why).
 //! * [`latency::LatencyTransport`] — a simulated-clock partial-synchrony
 //!   model: each round occupies `round_ms` of virtual time (nodes pace
 //!   themselves by timeout, not by a global barrier), every `(message,
@@ -47,8 +48,8 @@ use fault::{FaultPlan, FaultStats};
 /// benchmark scenarios and the shared experiment CLI).
 ///
 /// `Lockstep` and `Latency` are realized inside `ba-sim`; `Tcp` names a
-/// backend that needs real sockets and is constructed by `ba-net` (the
-/// engine refuses to instantiate it itself — see `Sim::new`).
+/// backend that needs real sockets and is supplied by `ba-net` (see
+/// [`TransportSpec::build`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TransportSpec {
     /// Deterministic in-memory lockstep (the default; the paper's model).
@@ -153,12 +154,49 @@ impl TransportSpec {
 
     /// Wraps this spec (or re-plans an already-`Faulty` spec) with `plan`.
     pub fn with_fault_plan(self, plan: FaultPlan) -> TransportSpec {
+        TransportSpec::Faulty { inner: self.split().0, plan }
+    }
+
+    /// The base backend this spec names and the fault plan wrapped round
+    /// it, if any.
+    fn split(self) -> (BaseTransport, Option<FaultPlan>) {
         match self {
-            TransportSpec::Faulty { inner, .. } => TransportSpec::Faulty { inner, plan },
-            base => TransportSpec::Faulty {
-                inner: BaseTransport::try_from(base).expect("non-faulty specs always convert"),
-                plan,
-            },
+            TransportSpec::Faulty { inner, plan } => (inner, Some(plan)),
+            bare => (BaseTransport::try_from(bare).expect("non-faulty specs always convert"), None),
+        }
+    }
+
+    /// Whether this spec delivers by the lockstep rule — every copy sent in
+    /// round `r` lands at the start of round `r + 1`, in send order: the
+    /// lockstep backend, bare or under an *empty* fault plan (the wrapper's
+    /// structural pass-through). The one delivery rule a lazy live set can
+    /// reproduce (see [`crate::engine::Sim::run_population`]).
+    pub fn is_lockstep(&self) -> bool {
+        matches!(self.split(), (BaseTransport::Lockstep, plan) if plan.is_none_or(|p| p.is_empty()))
+    }
+
+    /// Builds the backend this spec names for an `n`-node execution seeded
+    /// with `seed` — the one `TransportSpec` → backend dispatch. `tcp`
+    /// supplies the real-socket backend, which lives outside `ba-sim`
+    /// (`ba-net` passes its loopback transport; the in-core entry points
+    /// refuse).
+    pub fn build<M: Message + Send + Sync + 'static>(
+        self,
+        n: usize,
+        seed: u64,
+        tcp: impl FnOnce() -> Box<dyn Transport<M>>,
+    ) -> Box<dyn Transport<M>> {
+        let (base, plan) = self.split();
+        let inner: Box<dyn Transport<M>> = match base {
+            BaseTransport::Lockstep => Box::new(lockstep::LockstepTransport::new()),
+            BaseTransport::Latency { round_ms, gst_ms, dist } => {
+                Box::new(latency::LatencyTransport::new(n, round_ms, gst_ms, dist, seed))
+            }
+            BaseTransport::Tcp => tcp(),
+        };
+        match plan {
+            Some(plan) => Box::new(fault::FaultyTransport::new(inner, plan, n, seed)),
+            None => inner,
         }
     }
 }
