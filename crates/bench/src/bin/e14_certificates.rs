@@ -128,7 +128,7 @@ fn main() {
 
     // A grid-wide --cert-encoding override collapses the paired sweeps onto
     // one encoding; the cross-encoding assertions only make sense without it.
-    if cli.cert_encoding.is_none() {
+    if cli.override_of("cert_encoding").is_none() {
         // Headline: identical decisions, strictly cheaper certificates.
         assert_decision_identical(&reports[0], &reports[1]);
         assert_decision_identical(&reports[2], &reports[3]);

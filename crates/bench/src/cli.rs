@@ -1,6 +1,11 @@
 //! The shared experiment CLI.
 //!
-//! Every `e1`–`e11` binary accepts the same flags:
+//! Every experiment binary (`e1`–`e15`) accepts the same flags. The five
+//! grid-wide overrides among them (`--sim-threads`, `--population`,
+//! `--transport`, `--cert-encoding`, `--faults`) are not spelled in this
+//! file: each is a row of [`crate::scenario::AXES`] with a CLI grammar, and
+//! parsing, `--help` and the override pass in [`Cli::run`] loop over the
+//! table.
 //!
 //! * `--seeds N` — override each sweep's seed count (smoke runs use 2);
 //! * `--grid full|smoke` — the full paper grid or a reduced CI grid;
@@ -48,11 +53,11 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use ba_core::cert::CertEncoding;
-use ba_sim::{DelayDist, FaultPlan, PopulationMode, TransportSpec};
+use ba_sim::{DelayDist, TransportSpec};
 
 use crate::dist::{self, DistConfig};
 use crate::report::{quarantine_summary, to_csv, to_json};
+use crate::scenario::{Scenario, AXES};
 use crate::sweep::{default_threads, Sweep, SweepReport};
 use crate::wire::{FailMode, FailPlan};
 
@@ -76,23 +81,12 @@ pub struct Cli {
     pub grid: Grid,
     /// Sweep worker count.
     pub threads: usize,
-    /// `--sim-threads` override: in-execution worker count applied to every
-    /// scenario in every sweep (`None` = keep scenario-specified values).
-    pub sim_threads: Option<usize>,
-    /// `--population` override: population engine applied to every scenario
-    /// in every sweep (`None` = keep scenario-specified values).
-    pub population: Option<PopulationMode>,
-    /// `--transport` override: delivery transport applied to every scenario
-    /// in every sweep (`None` = keep scenario-specified values, unless one
-    /// of the latency shorthand knobs below implies a latency transport).
-    pub transport: Option<TransportSpec>,
-    /// `--cert-encoding` override: quorum-certificate encoding applied to
-    /// every scenario in every sweep (`None` = keep scenario-specified
-    /// values).
-    pub cert_encoding: Option<CertEncoding>,
-    /// `--faults` override: network-fault plan layered over every
-    /// scenario's transport (`None` = keep scenario-specified plans).
-    pub faults: Option<FaultPlan>,
+    /// The grid-wide overrides given, as `(axis key, value)` in command-line
+    /// order: [`Cli::run`] sets each on every scenario of every sweep, and
+    /// an axis without an entry keeps its scenario-specified values. Values
+    /// are checked against the axis grammar at parse time. (The latency
+    /// shorthand knobs below end up here too, folded into `transport`.)
+    pub overrides: Vec<(&'static str, String)>,
     /// `--round-ms` shorthand: latency-transport round duration override.
     pub round_ms: Option<u64>,
     /// `--gst` shorthand: latency-transport global stabilization time.
@@ -141,11 +135,7 @@ impl Cli {
             seeds: None,
             grid: Grid::Full,
             threads: default_threads(),
-            sim_threads: None,
-            population: None,
-            transport: None,
-            cert_encoding: None,
-            faults: None,
+            overrides: Vec::new(),
             round_ms: None,
             gst: None,
             delay_dist: None,
@@ -180,28 +170,6 @@ impl Cli {
                         .parse()
                         .unwrap_or_else(|_| die("--threads: not a number"));
                     cli.threads = t.max(1);
-                }
-                "--sim-threads" => {
-                    let t: usize = value("--sim-threads")
-                        .parse()
-                        .unwrap_or_else(|_| die("--sim-threads: not a number"));
-                    cli.sim_threads = Some(t.max(1));
-                }
-                "--population" => {
-                    let raw = value("--population");
-                    cli.population = Some(raw.parse().unwrap_or_else(|e: String| die(&e)));
-                }
-                "--transport" => {
-                    let raw = value("--transport");
-                    cli.transport = Some(raw.parse().unwrap_or_else(|e: String| die(&e)));
-                }
-                "--cert-encoding" => {
-                    let raw = value("--cert-encoding");
-                    cli.cert_encoding = Some(raw.parse().unwrap_or_else(|e: String| die(&e)));
-                }
-                "--faults" => {
-                    let raw = value("--faults");
-                    cli.faults = Some(raw.parse().unwrap_or_else(|e: String| die(&e)));
                 }
                 "--round-ms" => {
                     let ms: u64 = value("--round-ms")
@@ -267,13 +235,15 @@ impl Cli {
                 }
                 "--out" => cli.out = PathBuf::from(value("--out")),
                 "--help" | "-h" => {
+                    let overrides: String = AXES
+                        .iter()
+                        .filter_map(|axis| Some((axis.flag(), axis.cli?)))
+                        .map(|(flag, grammar)| format!("{:18}[{flag} {grammar}]\n", ""))
+                        .collect();
                     println!(
                         "{experiment} — see EXPERIMENTS.md\n\n\
                          USAGE: {experiment} [--seeds N] [--grid full|smoke] [--threads N]\n\
-                         \x20                 [--sim-threads N] [--population sparse|dense]\n\
-                         \x20                 [--transport lockstep|latency[:k=v,..]|tcp]\n\
-                         \x20                 [--cert-encoding vector|aggregate]\n\
-                         \x20                 [--faults PLAN]\n\
+                         {overrides}\
                          \x20                 [--round-ms MS] [--gst MS] [--delay-dist DIST]\n\
                          \x20                 [--workers N] [--worker-cmd CMD]\n\
                          \x20                 [--format md,csv,json|all] [--out DIR]\n\
@@ -282,10 +252,31 @@ impl Cli {
                     );
                     std::process::exit(0);
                 }
-                other => die(&format!("unknown flag {other:?} (try --help)")),
+                // Every other flag is a grid-wide axis override: the
+                // `AXES` row it names checks the value.
+                flag => {
+                    let axis = AXES.iter().find(|axis| axis.cli.is_some() && axis.flag() == flag);
+                    let Some(axis) = axis else {
+                        die(&format!("unknown flag {flag:?} (try --help)"))
+                    };
+                    let raw = value(flag);
+                    if let Err(e) = (axis.set)(&mut Scenario::blank(), &raw) {
+                        die(&format!("{flag}: {e}"));
+                    }
+                    cli.overrides.push((axis.key, raw));
+                }
             }
         }
+        if let Some(transport) = cli.transport_override() {
+            cli.overrides.push(("transport", transport.to_string()));
+        }
         cli
+    }
+
+    /// The value of the grid-wide override given for the [`AXES`] row `key`
+    /// (the last one, when a flag repeats), if any.
+    pub fn override_of(&self, key: &str) -> Option<&str> {
+        self.overrides.iter().rev().find(|(k, _)| *k == key).map(|(_, v)| v.as_str())
     }
 
     /// The seed count to use where the full grid would use `default`.
@@ -310,8 +301,8 @@ impl Cli {
     /// explicit non-latency one.
     pub fn transport_override(&self) -> Option<TransportSpec> {
         let knobs = self.round_ms.is_some() || self.gst.is_some() || self.delay_dist.is_some();
-        let base = match self.transport {
-            Some(t) => t,
+        let base = match self.override_of("transport") {
+            Some(raw) => raw.parse().unwrap_or_else(|e: String| die(&e)),
             None if knobs => TransportSpec::latency_zero(),
             None => return None,
         };
@@ -333,42 +324,12 @@ impl Cli {
 
     /// Executes the sweeps on the configured worker count — in-process
     /// threads, or (under `--workers`) a crash-recovering pool of worker
-    /// subprocesses producing byte-identical reports — applying any
-    /// `--sim-threads` override to every scenario first.
+    /// subprocesses producing byte-identical reports — applying every
+    /// grid-wide override to every scenario first.
     pub fn run(&self, mut sweeps: Vec<Sweep>) -> Vec<SweepReport> {
-        if let Some(sim_threads) = self.sim_threads {
-            for sweep in &mut sweeps {
-                for scenario in &mut sweep.scenarios {
-                    scenario.sim_threads = sim_threads;
-                }
-            }
-        }
-        if let Some(population) = self.population {
-            for sweep in &mut sweeps {
-                for scenario in &mut sweep.scenarios {
-                    scenario.population = population;
-                }
-            }
-        }
-        if let Some(transport) = self.transport_override() {
-            for sweep in &mut sweeps {
-                for scenario in &mut sweep.scenarios {
-                    scenario.transport = transport;
-                }
-            }
-        }
-        if let Some(encoding) = self.cert_encoding {
-            for sweep in &mut sweeps {
-                for scenario in &mut sweep.scenarios {
-                    scenario.cert_encoding = encoding;
-                }
-            }
-        }
-        if let Some(plan) = self.faults {
-            for sweep in &mut sweeps {
-                for scenario in &mut sweep.scenarios {
-                    scenario.fault_plan = Some(plan);
-                }
+        for scenario in sweeps.iter_mut().flat_map(|sweep| &mut sweep.scenarios) {
+            for (key, value) in &self.overrides {
+                scenario.set_axis(key, value).unwrap_or_else(|e| die(&e));
             }
         }
         let start = Instant::now();
@@ -457,24 +418,59 @@ mod tests {
         assert!(!cli.smoke());
         assert!(cli.markdown());
         assert!(cli.threads >= 1);
-        assert_eq!(cli.sim_threads, None);
+        assert!(cli.overrides.is_empty());
+    }
+
+    fn quadratic(n: usize) -> Scenario {
+        Scenario::new("q", n, crate::scenario::ProtocolSpec::QuadraticHalf)
+    }
+
+    /// The generic half of every grid-wide override, row by row: the flag
+    /// parses, its value lands on every scenario of every sweep and on no
+    /// other axis, and without the flag the scenarios run untouched.
+    #[test]
+    fn every_axis_flag_overrides_every_scenario() {
+        use crate::wire::tests::{rendered, sample_scenario};
+        let sample = sample_scenario();
+        let sweeps = || {
+            vec![
+                Sweep::new("a", 1, vec![quadratic(5), quadratic(7).f(1)]),
+                Sweep::new("b", 1, vec![quadratic(9).sim_threads(4)]),
+            ]
+        };
+        let untouched = parse(&[]).run(sweeps());
+        for (report, sweep) in untouched.iter().zip(sweeps()) {
+            let ran: Vec<&Scenario> = report.cells.iter().map(|cell| &cell.scenario).collect();
+            assert_eq!(ran, sweep.scenarios.iter().collect::<Vec<_>>());
+        }
+        let overridable: Vec<_> = AXES.iter().filter(|axis| axis.cli.is_some()).collect();
+        assert_eq!(overridable.len(), 5, "five grid-wide override flags");
+        for axis in overridable {
+            let value = rendered(axis, &sample).expect("the sample sets every axis");
+            let cli = parse(&[&axis.flag(), &value]);
+            assert_eq!(cli.override_of(axis.key), Some(value.as_str()));
+            assert_eq!(parse(&[]).override_of(axis.key), None);
+            for (report, before) in cli.run(sweeps()).iter().zip(&untouched) {
+                for (cell, before) in report.cells.iter().zip(&before.cells) {
+                    for other in AXES {
+                        let want = match other.key == axis.key {
+                            true => Some(value.clone()),
+                            false => rendered(other, &before.scenario),
+                        };
+                        assert_eq!(rendered(other, &cell.scenario), want, "{}", other.key);
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn sim_threads_flag_overrides_scenarios() {
-        use crate::scenario::{ProtocolSpec, Scenario};
         let cli = parse(&["--sim-threads", "3"]);
-        assert_eq!(cli.sim_threads, Some(3));
-        let sweep = Sweep::new(
-            "t",
-            1,
-            vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf).sim_threads(1)],
-        );
-        let reports = cli.run(vec![sweep]);
+        let reports = cli.run(vec![Sweep::new("t", 1, vec![quadratic(5).sim_threads(1)])]);
         // The override is applied before execution; the run itself must be
         // indistinguishable from a serial one.
-        let serial =
-            Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]).run(1);
+        let serial = Sweep::new("t", 1, vec![quadratic(5)]).run(1);
         assert_eq!(
             reports[0].cells[0].samples("multicasts"),
             serial.cells[0].samples("multicasts")
@@ -483,22 +479,16 @@ mod tests {
 
     #[test]
     fn population_flag_overrides_scenarios() {
-        use crate::scenario::{ProtocolSpec, Scenario};
         let cli = parse(&["--population", "sparse"]);
-        assert_eq!(cli.population, Some(PopulationMode::Sparse));
         // QuadraticHalf is not sparse-capable: the run must silently fall
         // back and match the dense report.
-        let sweep = Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]);
-        let reports = cli.run(vec![sweep]);
-        let dense =
-            Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]).run(1);
+        let reports = cli.run(vec![Sweep::new("t", 1, vec![quadratic(5)])]);
+        let dense = Sweep::new("t", 1, vec![quadratic(5)]).run(1);
         assert_eq!(reports[0].cells[0].samples("multicasts"), dense.cells[0].samples("multicasts"));
-        assert_eq!(parse(&[]).population, None);
     }
 
     #[test]
     fn transport_flag_overrides_scenarios() {
-        use crate::scenario::{ProtocolSpec, Scenario};
         let cli = parse(&["--transport", "latency:round_ms=5,gst_ms=0,dist=zero"]);
         assert_eq!(
             cli.transport_override(),
@@ -507,10 +497,8 @@ mod tests {
         // Zero-delay latency with GST 0 is provably equivalent to lockstep:
         // the overridden run must match a lockstep one observable for
         // observable (modulo the latency-only observables).
-        let sweep = Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]);
-        let reports = cli.run(vec![sweep]);
-        let lockstep =
-            Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]).run(1);
+        let reports = cli.run(vec![Sweep::new("t", 1, vec![quadratic(5)])]);
+        let lockstep = Sweep::new("t", 1, vec![quadratic(5)]).run(1);
         assert_eq!(
             reports[0].cells[0].samples("multicasts"),
             lockstep.cells[0].samples("multicasts")
@@ -523,16 +511,12 @@ mod tests {
 
     #[test]
     fn cert_encoding_flag_overrides_scenarios() {
-        use crate::scenario::{ProtocolSpec, Scenario};
         let cli = parse(&["--cert-encoding", "aggregate"]);
-        assert_eq!(cli.cert_encoding, Some(CertEncoding::Aggregate));
         // Aggregate certificates change message sizes but provably not the
         // protocol's decisions: every non-bit observable must match the
         // vector run.
-        let sweep = Sweep::new("t", 2, vec![Scenario::new("q", 9, ProtocolSpec::QuadraticHalf)]);
-        let reports = cli.run(vec![sweep]);
-        let vector =
-            Sweep::new("t", 2, vec![Scenario::new("q", 9, ProtocolSpec::QuadraticHalf)]).run(1);
+        let reports = cli.run(vec![Sweep::new("t", 2, vec![quadratic(9)])]);
+        let vector = Sweep::new("t", 2, vec![quadratic(9)]).run(1);
         for obs in ["rounds", "multicasts", "unicasts", "decision", "all_ok"] {
             assert_eq!(
                 reports[0].cells[0].samples(obs),
@@ -544,21 +528,16 @@ mod tests {
         let agg_bits = reports[0].cells[0].samples("cert_bits");
         let vec_bits = vector.cells[0].samples("cert_bits");
         assert!(agg_bits.iter().sum::<f64>() < vec_bits.iter().sum::<f64>());
-        assert_eq!(parse(&[]).cert_encoding, None);
     }
 
     #[test]
     fn faults_flag_overrides_scenarios() {
-        use crate::scenario::{ProtocolSpec, Scenario};
         let cli = parse(&["--faults", "none"]);
-        assert_eq!(cli.faults, Some(FaultPlan::default()));
         // An empty plan wraps every transport in the fault layer but is a
         // structural pass-through: observables match the bare run exactly
         // and no fault stats are recorded.
-        let sweep = Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]);
-        let reports = cli.run(vec![sweep]);
-        let bare =
-            Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]).run(1);
+        let reports = cli.run(vec![Sweep::new("t", 1, vec![quadratic(5)])]);
+        let bare = Sweep::new("t", 1, vec![quadratic(5)]).run(1);
         assert_eq!(reports[0].cells[0].samples("multicasts"), bare.cells[0].samples("multicasts"));
         assert_eq!(reports[0].cells[0].samples("rounds"), bare.cells[0].samples("rounds"));
         assert!(
@@ -568,13 +547,11 @@ mod tests {
         // A certain-drop plan parses, records fault stats, and degrades
         // liveness without touching safety.
         let cli = parse(&["--faults", "drop:p=1"]);
-        let sweep = Sweep::new("t", 1, vec![Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)]);
-        let reports = cli.run(vec![sweep]);
+        let reports = cli.run(vec![Sweep::new("t", 1, vec![quadratic(5)])]);
         let cell = &reports[0].cells[0];
         assert!(cell.samples("faults_dropped").iter().sum::<f64>() > 0.0);
         assert_eq!(cell.count("consistent"), 1, "safety holds under total drop");
         assert_eq!(cell.count("valid"), 1);
-        assert_eq!(parse(&[]).faults, None);
     }
 
     #[test]

@@ -46,23 +46,8 @@ use crate::scenario::{AdversarySpec, InputPattern, ProtocolSpec, Scenario};
 use crate::sweep::Sweep;
 use ba_sim::CorruptionModel;
 
-/// Which protocol family a gauntlet entry belongs to (decides which
-/// family-specific adversaries apply).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Family {
-    /// Iteration family (`ba-core::iter`) — the certificate forger applies.
-    Iter,
-    /// Epoch family (`ba-core::epoch`) — flipper and spammer apply.
-    Epoch,
-    /// Competitor BA families (`ba-core::momose_ren`, `ba-core::cks`) —
-    /// only the family-agnostic attacks apply.
-    Competitor,
-}
-
 /// One protocol under test: its spec, sizes, and resilience budget.
 struct Entry {
-    title: &'static str,
-    family: Family,
     n: usize,
     f_max: usize,
     protocol: ProtocolSpec,
@@ -79,30 +64,18 @@ fn entries(grid: Grid) -> Vec<Entry> {
     let (iters, epochs) = if smoke { (6, 6) } else { (12, 10) };
     vec![
         Entry {
-            title: "iter/subq_half",
-            family: Family::Iter,
             n: n_subq,
             // The paper's bound is f < (1/2 − ε)n; 0.4n leaves a working ε.
             f_max: n_subq * 2 / 5,
             protocol: ProtocolSpec::SubqHalf { lambda: 16.0, max_iters: Some(iters) },
         },
+        Entry { n: n_quad, f_max: (n_quad - 1) / 2, protocol: ProtocolSpec::QuadraticHalf },
         Entry {
-            title: "iter/quadratic_half",
-            family: Family::Iter,
-            n: n_quad,
-            f_max: (n_quad - 1) / 2,
-            protocol: ProtocolSpec::QuadraticHalf,
-        },
-        Entry {
-            title: "epoch/subq_third",
-            family: Family::Epoch,
             n: n_epoch,
             f_max: n_epoch * 3 / 10, // f < (1/3 − ε)n
             protocol: ProtocolSpec::SubqThird { lambda: 16.0, epochs },
         },
         Entry {
-            title: "epoch/warmup_third",
-            family: Family::Epoch,
             n: n_warm,
             f_max: (n_warm - 1) / 3,
             protocol: ProtocolSpec::WarmupThird { epochs },
@@ -110,15 +83,11 @@ fn entries(grid: Grid) -> Vec<Entry> {
         // Competitor protocols, sized so the view/phase cap always reaches
         // an honest leader (`f_max + 2` round-robin rotations).
         Entry {
-            title: "mr/half",
-            family: Family::Competitor,
             n: n_mr,
             f_max: (n_mr - 1) / 2,
             protocol: ProtocolSpec::MomoseRenHalf { views: ((n_mr - 1) / 2 + 2) as u64 },
         },
         Entry {
-            title: "cks/adaptive",
-            family: Family::Competitor,
             n: n_mr,
             f_max: (n_mr - 1) / 3,
             protocol: ProtocolSpec::CksAdaptive { phases: ((n_mr - 1) / 3 + 2) as u64 },
@@ -126,8 +95,6 @@ fn entries(grid: Grid) -> Vec<Entry> {
         // The remaining ablation rows from the roadmap's open matrix: the
         // Chen–Micali baseline under the full attack battery…
         Entry {
-            title: "epoch/chen_micali",
-            family: Family::Epoch,
             n: n_epoch,
             f_max: n_epoch * 3 / 10,
             protocol: ProtocolSpec::ChenMicali { lambda: 16.0, epochs, erasure: true },
@@ -138,8 +105,6 @@ fn entries(grid: Grid) -> Vec<Entry> {
         // clean, while adaptive attacks are licensed to defeat it — the
         // gauntlet records the defeat instead of asserting it away.
         Entry {
-            title: "epoch/subq_shared",
-            family: Family::Epoch,
             n: n_epoch,
             f_max: n_epoch * 3 / 10,
             protocol: ProtocolSpec::SubqShared { lambda: 16.0, epochs },
@@ -156,14 +121,18 @@ pub fn fractions(grid: Grid) -> &'static [f64] {
     }
 }
 
-/// The (adversary, corruption model) pairs applicable to `family`. Models
-/// are part of the matrix on purpose: the eclipse row runs under both
-/// static (neutralized) and adaptive (armed), the eraser under both
-/// adaptive (removal refused) and strongly adaptive (Theorem 1's model).
-fn attacks(family: Family) -> Vec<(AdversarySpec, CorruptionModel)> {
+/// The (adversary, corruption model) battery; each family runs the rows
+/// [`Scenario::check`] says its protocol takes — the shared rows everywhere,
+/// the certificate forger against the iteration family, flipper and spammer
+/// against the epoch family (the competitor families have no mined
+/// committees to flip or forge against). Models are part of the matrix on
+/// purpose: the eclipse row runs under both static (neutralized) and
+/// adaptive (armed), the eraser under both adaptive (removal refused) and
+/// strongly adaptive (Theorem 1's model).
+fn attacks() -> Vec<(AdversarySpec, CorruptionModel)> {
     use AdversarySpec as A;
     use CorruptionModel as M;
-    let mut rows = vec![
+    vec![
         (A::CrashTail { at_round: 1 }, M::Static),
         (A::SilenceThenBurst { at_round: 3 }, M::Static),
         (A::AdaptiveEclipse { per_round: 0 }, M::Static),
@@ -175,18 +144,10 @@ fn attacks(family: Family) -> Vec<(AdversarySpec, CorruptionModel)> {
         (A::EclipseBurst { at_round: 3 }, M::Adaptive),
         (A::StarveQuorum, M::Adaptive),
         (A::StarveQuorum, M::StronglyAdaptive),
-    ];
-    match family {
-        Family::Iter => rows.push((A::CertForger { target: true }, M::Static)),
-        Family::Epoch => {
-            rows.push((A::VoteFlipper, M::Adaptive));
-            rows.push((A::EquivocationSpammer, M::Static));
-        }
-        // The competitor families have no mined committees to flip or
-        // forge against; they face exactly the shared battery.
-        Family::Competitor => {}
-    }
-    rows
+        (A::CertForger { target: true }, M::Static),
+        (A::VoteFlipper, M::Adaptive),
+        (A::EquivocationSpammer, M::Static),
+    ]
 }
 
 /// Short display key of a corruption model (used in cell labels).
@@ -224,7 +185,7 @@ pub fn gauntlet_sweeps(grid: Grid, seeds: u64) -> Vec<Sweep> {
                 real.label = "passive_real@static/f=0".into();
                 cells.push(real);
             }
-            for (adversary, model) in attacks(entry.family) {
+            for (adversary, model) in attacks() {
                 let mut seen_f: Vec<usize> = Vec::new();
                 for &frac in fractions(grid) {
                     let f = ((entry.f_max as f64) * frac).round() as usize;
@@ -234,12 +195,24 @@ pub fn gauntlet_sweeps(grid: Grid, seeds: u64) -> Vec<Sweep> {
                         continue;
                     }
                     seen_f.push(f);
-                    cells.push(scenario_for(&entry, adversary, model, f));
+                    // Each family faces the rows of the battery it takes.
+                    let cell = scenario_for(&entry, adversary, model, f);
+                    if cell.check().is_ok() {
+                        cells.push(cell);
+                    }
                 }
             }
-            Sweep::new(entry.title, seeds, cells)
+            Sweep::new(head(&entry.protocol), seeds, cells)
         })
         .collect()
+}
+
+/// A spec's display name minus its parameter noise (`crash_tail` of
+/// `crash_tail(at=1)`), so sweep titles and cell labels stay short and
+/// grep-friendly.
+fn head(spec: &impl std::fmt::Display) -> String {
+    let name = spec.to_string();
+    name.split('(').next().unwrap_or(&name).to_string()
 }
 
 fn scenario_for(
@@ -248,29 +221,12 @@ fn scenario_for(
     model: CorruptionModel,
     f: usize,
 ) -> Scenario {
-    let label = format!("{}@{}/f={f}", adversary_key(&adversary), model_key(model));
+    let label = format!("{}@{}/f={f}", head(&adversary), model_key(model));
     Scenario::new(label, entry.n, entry.protocol.clone())
         .inputs(InputPattern::Alternating)
         .adversary(adversary)
         .model(model)
         .f(f)
-}
-
-/// The adversary part of a cell label (the spec's display name minus its
-/// parameter noise, so labels stay short and grep-friendly).
-fn adversary_key(spec: &AdversarySpec) -> &'static str {
-    match spec {
-        AdversarySpec::Passive => "passive",
-        AdversarySpec::CommitteeEraser => "committee_eraser",
-        AdversarySpec::StarveQuorum => "starve_quorum",
-        AdversarySpec::CrashTail { .. } => "crash_tail",
-        AdversarySpec::CertForger { .. } => "cert_forger",
-        AdversarySpec::VoteFlipper => "vote_flipper",
-        AdversarySpec::EquivocationSpammer => "equivocation_spammer",
-        AdversarySpec::SilenceThenBurst { .. } => "silence_burst",
-        AdversarySpec::AdaptiveEclipse { .. } => "adaptive_eclipse",
-        AdversarySpec::EclipseBurst { .. } => "eclipse_burst",
-    }
 }
 
 #[cfg(test)]

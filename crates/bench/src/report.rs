@@ -33,20 +33,31 @@ pub fn header(cells: &[&str]) {
 /// JSON string escaping (control characters, quotes, backslashes).
 pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
+    let _ = JsonEscaped(&mut out).write_str(s);
     out
+}
+
+/// A writer that JSON-escapes whatever is formatted into it, appending to
+/// the wrapped string (so a `Display` value lands in a JSON string without
+/// an intermediate allocation).
+pub(crate) struct JsonEscaped<'a>(pub &'a mut String);
+
+impl std::fmt::Write for JsonEscaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let out = &mut *self.0;
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+                c => out.push(c),
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Stable JSON rendering of an observable: integral values without a
@@ -85,33 +96,33 @@ fn scenario_obj(cell: &CellReport) -> String {
     out
 }
 
+/// A run's observables with repeated names **grouped** in first-occurrence
+/// order: each distinct name once, with all its rendered samples in
+/// recording order — the canonical order every renderer (JSON, CSV) and the
+/// distributed wire share.
+fn grouped(run: &RunRecord) -> Vec<(&str, Vec<String>)> {
+    let mut groups: Vec<(&str, Vec<String>)> = Vec::new();
+    for (name, value) in &run.values {
+        let name = name.as_ref();
+        match groups.iter_mut().find(|(seen, _)| *seen == name) {
+            Some((_, samples)) => samples.push(json_number(*value)),
+            None => groups.push((name, vec![json_number(*value)])),
+        }
+    }
+    groups
+}
+
 /// One run's JSON object `{"seed": N, "values": {...}}` (single line).
 /// Repeated observable names flatten into arrays, preserving order.
 fn run_obj(run: &RunRecord) -> String {
     let mut out = String::new();
     let _ = write!(out, "{{\"seed\": {}, \"values\": {{", run.seed);
-    let mut first = true;
-    let mut emitted: Vec<&str> = Vec::new();
-    for (name, _) in &run.values {
-        let name = name.as_ref();
-        if emitted.contains(&name) {
-            continue;
-        }
-        emitted.push(name);
-        let samples: Vec<String> = run
-            .values
-            .iter()
-            .filter(|(k, _)| k.as_ref() == name)
-            .map(|(_, v)| json_number(*v))
-            .collect();
-        if !first {
-            out.push_str(", ");
-        }
-        first = false;
+    for (i, (name, samples)) in grouped(run).iter().enumerate() {
+        let sep = if i == 0 { "" } else { ", " };
         if samples.len() == 1 {
-            let _ = write!(out, "\"{name}\": {}", samples[0]);
+            let _ = write!(out, "{sep}\"{name}\": {}", samples[0]);
         } else {
-            let _ = write!(out, "\"{name}\": [{}]", samples.join(", "));
+            let _ = write!(out, "{sep}\"{name}\": [{}]", samples.join(", "));
         }
     }
     out.push_str("}}");
@@ -214,24 +225,14 @@ pub fn to_csv(reports: &[SweepReport]) -> String {
     for sweep in reports {
         for cell in &sweep.cells {
             for run in &cell.runs {
-                let mut emitted: Vec<&str> = Vec::new();
-                for (name, _) in &run.values {
-                    let name = name.as_ref();
-                    if emitted.contains(&name) {
-                        continue;
-                    }
-                    emitted.push(name);
-                    for value in
-                        run.values.iter().filter(|(k, _)| k.as_ref() == name).map(|(_, v)| v)
-                    {
+                for (name, samples) in grouped(run) {
+                    for value in samples {
                         let _ = writeln!(
                             out,
-                            "{},{},{},{},{}",
+                            "{},{},{},{name},{value}",
                             csv_field(&sweep.title),
                             csv_field(&cell.scenario.label),
                             run.seed,
-                            name,
-                            json_number(*value),
                         );
                     }
                 }

@@ -13,6 +13,8 @@
 //! experiments) run through the same surface so one [`crate::Sweep`] grid
 //! can mix them freely.
 
+use std::fmt::{self, Display};
+use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -44,6 +46,55 @@ use crate::sweep::RunRecord;
 /// node). Verdicts are bit-identical either way; only setup memory and
 /// verify latency trade off.
 const REAL_ELIG_UNTABLED_N: usize = 4096;
+
+/// The argument list of one `head(value,key=value,…)` spec string — the one
+/// shape every spec enum of this module renders to — consumed left to right
+/// in the canonical order `Display` writes.
+struct SpecArgs<'a>(&'a str);
+
+/// Splits `head(args)`, or a bare `head`, into the head and its arguments.
+fn split_spec(s: &str) -> Result<(&str, SpecArgs<'_>), String> {
+    match s.split_once('(') {
+        None => Ok((s, SpecArgs(""))),
+        Some((head, rest)) => match rest.strip_suffix(')') {
+            Some(args) => Ok((head, SpecArgs(args))),
+            None => Err(format!("'{s}' does not close its argument list with ')'")),
+        },
+    }
+}
+
+impl SpecArgs<'_> {
+    /// Takes the next argument if it starts with `key` — `"lambda="` for a
+    /// keyed argument, `""` for a bare value — and parses the rest of it.
+    fn opt<T: FromStr>(&mut self, key: &str) -> Result<Option<T>, String> {
+        let (arg, rest) = self.0.split_once(',').unwrap_or((self.0, ""));
+        let Some(value) = arg.strip_prefix(key) else { return Ok(None) };
+        self.0 = rest;
+        value.parse().map(Some).map_err(|_| format!("bad argument '{arg}'"))
+    }
+
+    /// Takes the next argument, which must be there.
+    fn req<T: FromStr>(&mut self, key: &str) -> Result<T, String> {
+        self.opt(key)?.ok_or_else(|| format!("expected '{key}…' at '{}'", self.0))
+    }
+
+    /// A bit argument, spelled `0` or `1`.
+    fn bit(&mut self) -> Result<Bit, String> {
+        match self.req::<u8>("")? {
+            b @ 0..=1 => Ok(b == 1),
+            b => Err(format!("a bit is 0 or 1, not {b}")),
+        }
+    }
+
+    /// Refuses arguments the head does not take.
+    fn end(self) -> Result<(), String> {
+        if self.0.is_empty() {
+            Ok(())
+        } else {
+            Err(format!("unexpected argument '{}'", self.0))
+        }
+    }
+}
 
 /// How the environment assigns input bits.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -84,15 +135,36 @@ impl InputPattern {
             other => panic!("{other:?} does not define a single sender bit"),
         }
     }
+}
 
-    fn name(&self) -> String {
+/// `unanimous(1)`, `alternating`, `every_third`, `first_frac(0.375)`,
+/// `sender_parity`; accepted back by [`FromStr`].
+impl Display for InputPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InputPattern::Unanimous(b) => format!("unanimous({})", *b as u8),
-            InputPattern::Alternating => "alternating".into(),
-            InputPattern::EveryThird => "every_third".into(),
-            InputPattern::FirstFrac(frac) => format!("first_frac({frac})"),
-            InputPattern::SenderParity => "sender_parity".into(),
+            InputPattern::Unanimous(b) => write!(f, "unanimous({})", *b as u8),
+            InputPattern::Alternating => f.write_str("alternating"),
+            InputPattern::EveryThird => f.write_str("every_third"),
+            InputPattern::FirstFrac(frac) => write!(f, "first_frac({frac})"),
+            InputPattern::SenderParity => f.write_str("sender_parity"),
         }
+    }
+}
+
+impl FromStr for InputPattern {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<InputPattern, String> {
+        let (head, mut args) = split_spec(s)?;
+        let inputs = match head {
+            "unanimous" => InputPattern::Unanimous(args.bit()?),
+            "alternating" => InputPattern::Alternating,
+            "every_third" => InputPattern::EveryThird,
+            "first_frac" => InputPattern::FirstFrac(args.req("")?),
+            "sender_parity" => InputPattern::SenderParity,
+            other => return Err(format!("unknown input pattern '{other}'")),
+        };
+        args.end().map(|()| inputs)
     }
 }
 
@@ -105,6 +177,25 @@ pub enum EligMode {
     Real,
 }
 
+/// `ideal` or `real`; accepted back by [`FromStr`].
+impl Display for EligMode {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(if *self == EligMode::Ideal { "ideal" } else { "real" })
+    }
+}
+
+impl FromStr for EligMode {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<EligMode, String> {
+        match s {
+            "ideal" => Ok(EligMode::Ideal),
+            "real" => Ok(EligMode::Real),
+            other => Err(format!("unknown eligibility mode '{other}' (want ideal|real)")),
+        }
+    }
+}
+
 /// How the eligibility backend is seeded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EligSeed {
@@ -114,6 +205,30 @@ pub enum EligSeed {
     /// One backend seeded by the given value, built once per cell and
     /// `Arc`-shared across all worker threads executing the cell's seeds.
     Fixed(u64),
+}
+
+/// `per_run` or `fixed(7)`; accepted back by [`FromStr`].
+impl Display for EligSeed {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            EligSeed::PerRun => f.write_str("per_run"),
+            EligSeed::Fixed(seed) => write!(f, "fixed({seed})"),
+        }
+    }
+}
+
+impl FromStr for EligSeed {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<EligSeed, String> {
+        let (head, mut args) = split_spec(s)?;
+        let seed = match head {
+            "per_run" => EligSeed::PerRun,
+            "fixed" => EligSeed::Fixed(args.req("")?),
+            other => return Err(format!("unknown eligibility seeding '{other}'")),
+        };
+        args.end().map(|()| seed)
+    }
 }
 
 /// The attacker, by strategy (materialized per run against the concrete
@@ -164,27 +279,49 @@ pub enum AdversarySpec {
     },
 }
 
-impl AdversarySpec {
-    fn name(&self) -> String {
+/// `passive`, `crash_tail(at=3)`, `cert_forger(1)`, `adaptive_eclipse`
+/// (unpaced) or `adaptive_eclipse(per=2)`, …; accepted back by [`FromStr`].
+/// The head alone — the text before `(` — is the short adversary name the
+/// gauntlet's cell labels use.
+impl Display for AdversarySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use AdversarySpec as A;
         match self {
-            AdversarySpec::Passive => "passive".into(),
-            AdversarySpec::CommitteeEraser => "committee_eraser".into(),
-            AdversarySpec::StarveQuorum => "starve_quorum".into(),
-            AdversarySpec::CrashTail { at_round } => format!("crash_tail(at={at_round})"),
-            AdversarySpec::CertForger { target } => format!("cert_forger({})", *target as u8),
-            AdversarySpec::VoteFlipper => "vote_flipper".into(),
-            AdversarySpec::EquivocationSpammer => "equivocation_spammer".into(),
-            AdversarySpec::SilenceThenBurst { at_round } => {
-                format!("silence_burst(at={at_round})")
-            }
-            AdversarySpec::AdaptiveEclipse { per_round: 0 } => "adaptive_eclipse".into(),
-            AdversarySpec::AdaptiveEclipse { per_round } => {
-                format!("adaptive_eclipse(per={per_round})")
-            }
-            AdversarySpec::EclipseBurst { at_round } => {
-                format!("eclipse_burst(at={at_round})")
-            }
+            A::Passive => f.write_str("passive"),
+            A::CommitteeEraser => f.write_str("committee_eraser"),
+            A::StarveQuorum => f.write_str("starve_quorum"),
+            A::CrashTail { at_round } => write!(f, "crash_tail(at={at_round})"),
+            A::CertForger { target } => write!(f, "cert_forger({})", *target as u8),
+            A::VoteFlipper => f.write_str("vote_flipper"),
+            A::EquivocationSpammer => f.write_str("equivocation_spammer"),
+            A::SilenceThenBurst { at_round } => write!(f, "silence_burst(at={at_round})"),
+            A::AdaptiveEclipse { per_round: 0 } => f.write_str("adaptive_eclipse"),
+            A::AdaptiveEclipse { per_round } => write!(f, "adaptive_eclipse(per={per_round})"),
+            A::EclipseBurst { at_round } => write!(f, "eclipse_burst(at={at_round})"),
         }
+    }
+}
+
+impl FromStr for AdversarySpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<AdversarySpec, String> {
+        use AdversarySpec as A;
+        let (head, mut args) = split_spec(s)?;
+        let adversary = match head {
+            "passive" => A::Passive,
+            "committee_eraser" => A::CommitteeEraser,
+            "starve_quorum" => A::StarveQuorum,
+            "crash_tail" => A::CrashTail { at_round: args.req("at=")? },
+            "cert_forger" => A::CertForger { target: args.bit()? },
+            "vote_flipper" => A::VoteFlipper,
+            "equivocation_spammer" => A::EquivocationSpammer,
+            "silence_burst" => A::SilenceThenBurst { at_round: args.req("at=")? },
+            "adaptive_eclipse" => A::AdaptiveEclipse { per_round: args.opt("per=")?.unwrap_or(0) },
+            "eclipse_burst" => A::EclipseBurst { at_round: args.req("at=")? },
+            other => return Err(format!("unknown adversary '{other}'")),
+        };
+        args.end().map(|()| adversary)
     }
 }
 
@@ -289,42 +426,100 @@ pub enum ProtocolSpec {
     },
 }
 
-impl ProtocolSpec {
-    fn name(&self) -> String {
+/// `iter/subq_half(lambda=24)`, `epoch/chen_micali(lambda=16,R=6,erasure=true)`,
+/// `dolev_strong(f=3)`, …; accepted back by [`FromStr`].
+///
+/// The one rule beyond `head(key=value,…)`: the report label of
+/// [`ProtocolSpec::SubqHalf`] has never carried `max_iters` (every
+/// committed e1/e11/e13/e15 baseline cell pins `iter/subq_half(lambda=…)`),
+/// so the cap is an optional trailing key — the parser accepts
+/// `iter/subq_half(lambda=16,max_iters=6)`, and only the alternate
+/// rendering `{:#}`, which the wire descriptor uses, writes it.
+impl Display for ProtocolSpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use ProtocolSpec as P;
         match self {
-            ProtocolSpec::SubqHalf { lambda, .. } => format!("iter/subq_half(lambda={lambda})"),
-            ProtocolSpec::QuadraticHalf => "iter/quadratic_half".into(),
-            ProtocolSpec::WarmupThird { epochs } => format!("epoch/warmup_third(R={epochs})"),
-            ProtocolSpec::SubqThird { lambda, epochs } => {
-                format!("epoch/subq_third(lambda={lambda},R={epochs})")
+            P::SubqHalf { lambda, max_iters } => {
+                write!(f, "iter/subq_half(lambda={lambda}")?;
+                if let (true, Some(cap)) = (f.alternate(), max_iters) {
+                    write!(f, ",max_iters={cap}")?;
+                }
+                f.write_str(")")
             }
-            ProtocolSpec::SubqShared { lambda, epochs } => {
-                format!("epoch/subq_shared(lambda={lambda},R={epochs})")
+            P::QuadraticHalf => f.write_str("iter/quadratic_half"),
+            P::WarmupThird { epochs } => write!(f, "epoch/warmup_third(R={epochs})"),
+            P::SubqThird { lambda, epochs } => {
+                write!(f, "epoch/subq_third(lambda={lambda},R={epochs})")
             }
-            ProtocolSpec::ChenMicali { lambda, epochs, erasure } => {
-                format!("epoch/chen_micali(lambda={lambda},R={epochs},erasure={erasure})")
+            P::SubqShared { lambda, epochs } => {
+                write!(f, "epoch/subq_shared(lambda={lambda},R={epochs})")
             }
-            ProtocolSpec::MomoseRenHalf { views } => format!("mr/half(views={views})"),
-            ProtocolSpec::CksAdaptive { phases } => format!("cks/adaptive(P={phases})"),
-            ProtocolSpec::DolevStrong { ds_f } => format!("dolev_strong(f={ds_f})"),
-            ProtocolSpec::BaFromBb { ds_f } => format!("ba_from_bb(f={ds_f})"),
-            ProtocolSpec::IterBroadcast { lambda } => {
-                format!("broadcast/iter_bb(lambda={lambda})")
+            P::ChenMicali { lambda, epochs, erasure } => {
+                write!(f, "epoch/chen_micali(lambda={lambda},R={epochs},erasure={erasure})")
             }
-            ProtocolSpec::Theorem4 { fanout } => format!("lowerbound/theorem4(fanout={fanout})"),
-            ProtocolSpec::Theorem3 { committee } => {
-                format!("lowerbound/theorem3(committee={committee})")
+            P::MomoseRenHalf { views } => write!(f, "mr/half(views={views})"),
+            P::CksAdaptive { phases } => write!(f, "cks/adaptive(P={phases})"),
+            P::DolevStrong { ds_f } => write!(f, "dolev_strong(f={ds_f})"),
+            P::BaFromBb { ds_f } => write!(f, "ba_from_bb(f={ds_f})"),
+            P::IterBroadcast { lambda } => write!(f, "broadcast/iter_bb(lambda={lambda})"),
+            P::Theorem4 { fanout } => write!(f, "lowerbound/theorem4(fanout={fanout})"),
+            P::Theorem3 { committee } => write!(f, "lowerbound/theorem3(committee={committee})"),
+            P::GoodIteration { lambda, mine_seed } => {
+                write!(f, "fmine/good_iteration(lambda={lambda},mine_seed={mine_seed})")
             }
-            ProtocolSpec::GoodIteration { lambda, mine_seed } => {
-                format!("fmine/good_iteration(lambda={lambda},mine_seed={mine_seed})")
-            }
-            ProtocolSpec::CommitteeTails { lambda } => {
-                format!("fmine/committee_tails(lambda={lambda})")
-            }
-            ProtocolSpec::CommitteeSample { lambda } => {
-                format!("fmine/committee_sample(lambda={lambda})")
-            }
+            P::CommitteeTails { lambda } => write!(f, "fmine/committee_tails(lambda={lambda})"),
+            P::CommitteeSample { lambda } => write!(f, "fmine/committee_sample(lambda={lambda})"),
         }
+    }
+}
+
+impl FromStr for ProtocolSpec {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<ProtocolSpec, String> {
+        use ProtocolSpec as P;
+        let (head, mut args) = split_spec(s)?;
+        let protocol = match head {
+            "iter/subq_half" => {
+                P::SubqHalf { lambda: args.req("lambda=")?, max_iters: args.opt("max_iters=")? }
+            }
+            "iter/quadratic_half" => P::QuadraticHalf,
+            "epoch/warmup_third" => P::WarmupThird { epochs: args.req("R=")? },
+            "epoch/subq_third" => {
+                P::SubqThird { lambda: args.req("lambda=")?, epochs: args.req("R=")? }
+            }
+            "epoch/subq_shared" => {
+                P::SubqShared { lambda: args.req("lambda=")?, epochs: args.req("R=")? }
+            }
+            "epoch/chen_micali" => P::ChenMicali {
+                lambda: args.req("lambda=")?,
+                epochs: args.req("R=")?,
+                erasure: args.req("erasure=")?,
+            },
+            "mr/half" => P::MomoseRenHalf { views: args.req("views=")? },
+            "cks/adaptive" => P::CksAdaptive { phases: args.req("P=")? },
+            "dolev_strong" => P::DolevStrong { ds_f: args.req("f=")? },
+            "ba_from_bb" => P::BaFromBb { ds_f: args.req("f=")? },
+            "broadcast/iter_bb" => P::IterBroadcast { lambda: args.req("lambda=")? },
+            "lowerbound/theorem4" => P::Theorem4 { fanout: args.req("fanout=")? },
+            "lowerbound/theorem3" => P::Theorem3 { committee: args.req("committee=")? },
+            "fmine/good_iteration" => P::GoodIteration {
+                lambda: args.req("lambda=")?,
+                mine_seed: args.req("mine_seed=")?,
+            },
+            "fmine/committee_tails" => P::CommitteeTails { lambda: args.req("lambda=")? },
+            "fmine/committee_sample" => P::CommitteeSample { lambda: args.req("lambda=")? },
+            other => return Err(format!("unknown protocol '{other}'")),
+        };
+        args.end().map(|()| protocol)
+    }
+}
+
+impl ProtocolSpec {
+    /// Whether the family is a broadcast (one designated sender's bit)
+    /// rather than an agreement (one input bit per node).
+    fn is_broadcast(&self) -> bool {
+        matches!(self, ProtocolSpec::DolevStrong { .. } | ProtocolSpec::IterBroadcast { .. })
     }
 
     /// The source paper's claimed total word complexity for this family,
@@ -479,17 +674,156 @@ pub struct Scenario {
     pub claimed_bound: bool,
 }
 
+/// When an axis appears in [`Scenario::describe`], and so in report JSON.
+#[derive(Clone, Copy, Debug)]
+pub enum ReportRule {
+    /// In every report.
+    Always,
+    /// In no report: the cell header (`label`, `n`, `f`, seeds) is written
+    /// by the report itself, and resource knobs leave reports unchanged.
+    Never,
+    /// Only where the predicate holds — the field is set, and not to an
+    /// empty value — so reports from before the axis existed (and their
+    /// committed baselines) stay byte-identical.
+    If(fn(&Scenario) -> bool),
+}
+
+/// One row of [`AXES`]: everything the report, the worker wire and the CLI
+/// know about one [`Scenario`] field.
+#[derive(Clone, Copy, Debug)]
+pub struct Axis {
+    /// The field's name in report JSON, wire descriptors and (with `_` as
+    /// `-`) its grid-wide `--flag`.
+    pub key: &'static str,
+    /// The field rendered in its grammar (`{:#}` for the lossless form the
+    /// wire carries), or nothing when it is unset.
+    pub get: fn(&Scenario) -> Option<&dyn Display>,
+    /// Parses the grammar back into the field.
+    pub set: fn(&mut Scenario, &str) -> Result<(), String>,
+    /// When `describe()` lists the axis.
+    pub report: ReportRule,
+    /// Whether a wire descriptor may omit the axis: tolerated absent, it
+    /// keeps [`Scenario::new`]'s default; a required axis's absence is
+    /// refused. The encoder omits an axis exactly when `get` yields nothing.
+    pub optional: bool,
+    /// For a grid-wide CLI override, the value grammar its help line shows.
+    pub cli: Option<&'static str>,
+}
+
+impl Axis {
+    /// A row for a field that every wire descriptor carries, no report
+    /// lists and no flag overrides; the modifiers below lift each default.
+    const fn new(
+        key: &'static str,
+        get: fn(&Scenario) -> Option<&dyn Display>,
+        set: fn(&mut Scenario, &str) -> Result<(), String>,
+    ) -> Axis {
+        Axis { key, get, set, report: Never, optional: false, cli: None }
+    }
+
+    const fn reported(self, report: ReportRule) -> Axis {
+        Axis { report, ..self }
+    }
+
+    const fn optional(self) -> Axis {
+        Axis { optional: true, ..self }
+    }
+
+    const fn overridable(self, grammar: &'static str) -> Axis {
+        Axis { cli: Some(grammar), ..self }
+    }
+
+    /// The axis's command-line flag (`--cert-encoding` for `cert_encoding`).
+    pub fn flag(&self) -> String {
+        format!("--{}", self.key.replace('_', "-"))
+    }
+}
+
+/// Parses an axis value by the field type's own `FromStr` and hands it to
+/// `assign` (which is not run, so the scenario not touched, on a bad value).
+fn put<T: FromStr<Err: Display>>(value: &str, assign: impl FnOnce(T)) -> Result<(), String> {
+    value.parse().map(assign).map_err(|e: T::Err| e.to_string())
+}
+
+use ReportRule::{Always, If, Never};
+
+/// The axis table, one row per [`Scenario`] field, in wire order (which is
+/// `describe()` order for the reported rows). `describe()`, the wire codec
+/// (`crate::wire`) and the CLI overrides (`crate::cli`) are each one loop
+/// over it, so a new axis is a field, its default in [`Scenario::new`], a
+/// row here and its use in execution.
+pub const AXES: &[Axis] = &[
+    Axis::new("label", |sc| Some(&sc.label), |sc, v| put(v, |x| sc.label = x)),
+    Axis::new("n", |sc| Some(&sc.n), |sc, v| put(v, |x| sc.n = x)),
+    Axis::new("f", |sc| Some(&sc.f), |sc, v| put(v, |x| sc.f = x)),
+    Axis::new("seed_offset", |sc| Some(&sc.seed_offset), |sc, v| put(v, |x| sc.seed_offset = x)),
+    Axis::new(
+        "seeds",
+        |sc| sc.seeds.as_ref().map(|x| x as &dyn Display),
+        |sc, v| put(v, |x| sc.seeds = Some(x)),
+    )
+    .optional(),
+    Axis::new("protocol", |sc| Some(&sc.protocol), |sc, v| put(v, |x| sc.protocol = x))
+        .reported(Always),
+    Axis::new("adversary", |sc| Some(&sc.adversary), |sc, v| put(v, |x| sc.adversary = x))
+        .reported(Always),
+    Axis::new("inputs", |sc| Some(&sc.inputs), |sc, v| put(v, |x| sc.inputs = x)).reported(Always),
+    Axis::new("model", |sc| Some(&sc.model), |sc, v| put(v, |x| sc.model = x)).reported(Always),
+    Axis::new("elig", |sc| Some(&sc.elig), |sc, v| put(v, |x| sc.elig = x)).reported(Always),
+    Axis::new("elig_seed", |sc| Some(&sc.elig_seed), |sc, v| put(v, |x| sc.elig_seed = x))
+        .reported(Always),
+    Axis::new(
+        "sim_threads",
+        |sc| Some(&sc.sim_threads),
+        |sc, v| put(v, |x: usize| sc.sim_threads = x.max(1)),
+    )
+    .overridable("N"),
+    Axis::new("population", |sc| Some(&sc.population), |sc, v| put(v, |x| sc.population = x))
+        .optional()
+        .overridable("sparse|dense"),
+    Axis::new("transport", |sc| Some(&sc.transport), |sc, v| put(v, |x| sc.transport = x))
+        .reported(Always)
+        .optional()
+        .overridable("lockstep|latency[:k=v,..]|tcp"),
+    Axis::new(
+        "cert_encoding",
+        |sc| Some(&sc.cert_encoding),
+        |sc, v| put(v, |x| sc.cert_encoding = x),
+    )
+    .reported(Always)
+    .optional()
+    .overridable("vector|aggregate"),
+    // Set-but-empty is a state of its own (the fault wrapper as a
+    // structural pass-through): the wire carries it, reports omit it.
+    Axis::new(
+        "faults",
+        |sc| sc.fault_plan.as_ref().map(|plan| plan as &dyn Display),
+        |sc, v| put(v, |x| sc.fault_plan = Some(x)),
+    )
+    .reported(If(|sc| sc.fault_plan.is_some_and(|plan| !plan.is_empty())))
+    .optional()
+    .overridable("PLAN"),
+    Axis::new(
+        "claimed_bound",
+        |sc| sc.claimed_bound.then_some(&"on" as &dyn Display),
+        |sc, v| {
+            (v == "on").then(|| sc.claimed_bound = true).ok_or_else(|| format!("'{v}' is not 'on'"))
+        },
+    )
+    .reported(If(|sc| sc.claimed_bound))
+    .optional(),
+];
+
 impl Scenario {
     /// A passive, static, ideal-eligibility scenario with alternating
     /// inputs (broadcast families default to [`InputPattern::SenderParity`],
     /// the only kind of pattern that defines their sender bit) — override
     /// the rest through the builder methods.
     pub fn new(label: impl Into<String>, n: usize, protocol: ProtocolSpec) -> Scenario {
-        let inputs = match protocol {
-            ProtocolSpec::DolevStrong { .. } | ProtocolSpec::IterBroadcast { .. } => {
-                InputPattern::SenderParity
-            }
-            _ => InputPattern::Alternating,
+        let inputs = if protocol.is_broadcast() {
+            InputPattern::SenderParity
+        } else {
+            InputPattern::Alternating
         };
         Scenario {
             label: label.into(),
@@ -605,46 +939,108 @@ impl Scenario {
         self
     }
 
-    /// Key/value description of the configuration (report metadata).
+    /// Key/value description of the configuration (report metadata): the
+    /// [`AXES`] rows whose [`ReportRule`] admits this scenario.
     pub fn describe(&self) -> Vec<(&'static str, String)> {
-        let mut desc = vec![
-            ("protocol", self.protocol.name()),
-            ("adversary", self.adversary.name()),
-            ("inputs", self.inputs.name()),
+        let reported = |axis: &&Axis| match axis.report {
+            Always => true,
+            Never => false,
+            If(holds) => holds(self),
+        };
+        AXES.iter()
+            .filter(reported)
+            .filter_map(|axis| Some((axis.key, (axis.get)(self)?.to_string())))
+            .collect()
+    }
+
+    /// Sets one axis by its [`AXES`] key from a string in its grammar — the
+    /// by-key override the CLI's grid-wide flags apply.
+    pub fn set_axis(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let axis = AXES.iter().find(|axis| axis.key == key);
+        (axis.ok_or_else(|| format!("unknown axis '{key}'"))?.set)(self, value)
+    }
+
+    /// The canvas the table-driven decoders paint on: every optional axis
+    /// at [`Scenario::new`]'s default, every required one a placeholder
+    /// its row's `set` must overwrite.
+    pub(crate) fn blank() -> Scenario {
+        Scenario::new("", 0, ProtocolSpec::QuadraticHalf)
+    }
+
+    /// Whether the scenario's family can execute it — the rules the
+    /// `panic!`s of execution hold as in-process invariants, stated once
+    /// for descriptors that arrive from outside the process. (The
+    /// measurement workloads read neither the adversary nor the inputs;
+    /// they are held to the family-agnostic values all the same.) An `Err`
+    /// names the offending axis first.
+    pub fn check(&self) -> Result<(), String> {
+        use {AdversarySpec as A, InputPattern as I, ProtocolSpec as P};
+        let (n, f, p) = (self.n, self.f, &self.protocol);
+        if f >= n {
+            return Err(format!("f: corruption budget {f} must leave one honest node of n = {n}"));
+        }
+        let attacks = match (self.adversary, p) {
+            (A::CertForger { .. }, P::SubqHalf { .. } | P::QuadraticHalf) => true,
             (
-                "model",
-                match self.model {
-                    CorruptionModel::Static => "static".into(),
-                    CorruptionModel::Adaptive => "adaptive".into(),
-                    CorruptionModel::StronglyAdaptive => "strongly_adaptive".into(),
-                },
-            ),
-            ("elig", if self.elig == EligMode::Ideal { "ideal".into() } else { "real".into() }),
-            (
-                "elig_seed",
-                match self.elig_seed {
-                    EligSeed::PerRun => "per_run".into(),
-                    EligSeed::Fixed(s) => format!("fixed({s})"),
-                },
-            ),
-            ("transport", self.transport.to_string()),
-            ("cert_encoding", self.cert_encoding.to_string()),
-        ];
-        // Only a non-empty plan is an experimental axis; an empty plan is a
-        // structural pass-through, and omitting it keeps pre-fault reports
-        // (and their committed baselines) byte-identical.
-        if let Some(plan) = &self.fault_plan {
-            if !plan.is_empty() {
-                desc.push(("faults", plan.to_string()));
+                A::VoteFlipper | A::EquivocationSpammer,
+                P::WarmupThird { .. }
+                | P::SubqThird { .. }
+                | P::SubqShared { .. }
+                | P::ChenMicali { .. },
+            ) => true,
+            (A::CertForger { .. } | A::VoteFlipper | A::EquivocationSpammer, _) => false,
+            // Dolev–Strong has no quorum to starve.
+            (A::StarveQuorum, P::DolevStrong { .. } | P::BaFromBb { .. }) => false,
+            _ => true,
+        };
+        if !attacks {
+            return Err(format!("adversary: {} does not attack {p}", self.adversary));
+        }
+        // The eraser corrupts its victims mid-run, as they speak.
+        let erases = matches!(self.adversary, A::CommitteeEraser | A::StarveQuorum);
+        if erases && self.model == CorruptionModel::Static && f > 0 {
+            return Err(format!(
+                "model: static forbids the mid-run corruptions of {}",
+                self.adversary
+            ));
+        }
+        // A broadcast needs one sender bit, an agreement one bit per node.
+        let fits = match self.inputs {
+            I::Unanimous(_) => true,
+            I::SenderParity => p.is_broadcast(),
+            I::Alternating | I::EveryThird | I::FirstFrac(_) => !p.is_broadcast(),
+        };
+        if !fits {
+            return Err(format!("inputs: {} does not fit {p}", self.inputs));
+        }
+        let lambda = match *p {
+            P::SubqHalf { lambda, .. }
+            | P::SubqThird { lambda, .. }
+            | P::SubqShared { lambda, .. }
+            | P::ChenMicali { lambda, .. }
+            | P::IterBroadcast { lambda }
+            | P::GoodIteration { lambda, .. }
+            | P::CommitteeTails { lambda }
+            | P::CommitteeSample { lambda } => lambda,
+            _ => 1.0,
+        };
+        if !(lambda > 0.0 && lambda <= n as f64) {
+            return Err(format!("protocol: lambda = {lambda} must lie in (0, n = {n}]"));
+        }
+        match *p {
+            P::WarmupThird { epochs: 0 }
+            | P::SubqThird { epochs: 0, .. }
+            | P::SubqShared { epochs: 0, .. }
+            | P::ChenMicali { epochs: 0, .. } => Err(format!("protocol: {p} runs no epoch")),
+            P::Theorem4 { .. } if f < 2 => {
+                Err(format!("f: theorem4 corrupts a set of f/2 >= 1 nodes, and f = {f}"))
             }
+            P::Theorem3 { committee } if n < 3 || !(1..n).contains(&committee) => Err(format!(
+                "protocol: theorem3 needs n >= 3 and committee in [1, n), got n = {n}, \
+                 committee = {committee}"
+            )),
+            _ => Ok(()),
         }
-        // Like `faults`: only present when switched on, so reports (and
-        // their committed baselines) from before the observable existed
-        // stay byte-identical.
-        if self.claimed_bound {
-            desc.push(("claimed_bound", "on".into()));
-        }
-        desc
     }
 
     fn build_elig(&self, seed: u64, shared: &SharedElig, lambda: f64) -> Arc<dyn Eligibility> {
@@ -732,9 +1128,8 @@ impl Scenario {
                 let cfg = MrConfig::half(self.n, *views, kc).with_cert_encoding(self.cert_encoding);
                 let inputs = self.inputs.generate(self.n, seed);
                 let quorum = cfg.quorum;
-                let runnable = self.typed_runnable(seed, Some(quorum), |adv| {
-                    momose_ren::runnable(&cfg, inputs, adv)
-                });
+                let runnable = self
+                    .typed_runnable(Some(quorum), |adv| momose_ren::runnable(&cfg, inputs, adv));
                 self.finish(seed, runnable.execute(&sim), Vec::new())
             }
             ProtocolSpec::CksAdaptive { phases } => {
@@ -744,13 +1139,13 @@ impl Scenario {
                 let inputs = self.inputs.generate(self.n, seed);
                 let quorum = cfg.quorum;
                 let runnable =
-                    self.typed_runnable(seed, Some(quorum), |adv| cks::runnable(&cfg, inputs, adv));
+                    self.typed_runnable(Some(quorum), |adv| cks::runnable(&cfg, inputs, adv));
                 self.finish(seed, runnable.execute(&sim), Vec::new())
             }
             ProtocolSpec::DolevStrong { ds_f } => {
                 let kc = Arc::new(Keychain::from_seed(seed, self.n, SigMode::Ideal));
                 let cfg = DsConfig { n: self.n, f: *ds_f, sender: NodeId(0), keychain: kc };
-                let runnable = self.typed_runnable(seed, None, |adv| {
+                let runnable = self.typed_runnable(None, |adv| {
                     dolev_strong::runnable(&cfg, self.inputs.sender_bit(seed), adv)
                 });
                 self.finish(seed, runnable.execute(&sim), Vec::new())
@@ -758,7 +1153,7 @@ impl Scenario {
             ProtocolSpec::BaFromBb { ds_f } => {
                 let kc = Arc::new(Keychain::from_seed(seed, self.n, SigMode::Ideal));
                 let inputs = self.inputs.generate(self.n, seed);
-                let runnable = self.typed_runnable(seed, None, |adv| {
+                let runnable = self.typed_runnable(None, |adv| {
                     ba_from_bb::runnable(self.n, *ds_f, kc, inputs, adv)
                 });
                 self.finish(seed, runnable.execute(&sim), Vec::new())
@@ -767,7 +1162,7 @@ impl Scenario {
                 let cfg = IterConfig::subq_half(self.n, self.build_elig(seed, shared, *lambda))
                     .with_cert_encoding(self.cert_encoding);
                 let kc = Arc::new(Keychain::from_seed(seed, self.n, SigMode::Ideal));
-                let runnable = self.typed_runnable(seed, Some(cfg.quorum), |adv| {
+                let runnable = self.typed_runnable(Some(cfg.quorum), |adv| {
                     broadcast::runnable_iter_bb(
                         &cfg,
                         kc,
@@ -824,7 +1219,6 @@ impl Scenario {
     /// adversaries (forger, flipper) construct them in their own `run_*`.
     fn typed_runnable<M: ba_sim::Message + Send + 'static>(
         &self,
-        _seed: u64,
         quorum: Option<usize>,
         make: impl FnOnce(Box<dyn Adversary<M> + Send>) -> Runnable,
     ) -> Runnable {
@@ -850,11 +1244,12 @@ impl Scenario {
             }
             AdversarySpec::CertForger { .. }
             | AdversarySpec::VoteFlipper
-            | AdversarySpec::EquivocationSpammer => panic!(
-                "{} does not attack this protocol family ({})",
-                self.adversary.name(),
-                self.protocol.name()
-            ),
+            | AdversarySpec::EquivocationSpammer => {
+                panic!(
+                    "{} does not attack this protocol family ({})",
+                    self.adversary, self.protocol
+                )
+            }
         };
         make(adv)
     }
@@ -878,8 +1273,8 @@ impl Scenario {
             }
             _ => {
                 let quorum = cfg.quorum;
-                let runnable = self
-                    .typed_runnable(seed, Some(quorum), |adv| iter::runnable(&cfg, inputs, adv));
+                let runnable =
+                    self.typed_runnable(Some(quorum), |adv| iter::runnable(&cfg, inputs, adv));
                 self.finish(seed, runnable.execute(sim), Vec::new())
             }
         }
@@ -913,8 +1308,8 @@ impl Scenario {
             }
             _ => {
                 let quorum = cfg.quorum;
-                let runnable = self
-                    .typed_runnable(seed, Some(quorum), |adv| epoch::runnable(&cfg, inputs, adv));
+                let runnable =
+                    self.typed_runnable(Some(quorum), |adv| epoch::runnable(&cfg, inputs, adv));
                 self.finish(seed, runnable.execute(sim), Vec::new())
             }
         }

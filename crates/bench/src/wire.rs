@@ -30,14 +30,13 @@
 //! (on Unix) `SIGKILL` — which is exactly the mid-cell crash the
 //! crash-recovery tests and the CI kill-a-worker step exercise.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, Write};
 
 use crate::baseline::{parse_json, Json};
-use crate::report::{json_escape, json_number, to_json_cell_line, CELL_STREAM_SCHEMA};
-use crate::scenario::{AdversarySpec, EligMode, EligSeed, InputPattern, ProtocolSpec, Scenario};
+use crate::report::{json_escape, to_json_cell_line, JsonEscaped, CELL_STREAM_SCHEMA};
+use crate::scenario::{Scenario, AXES};
 use crate::sweep::{RunRecord, Sweep};
-use ba_core::cert::CertEncoding;
-use ba_sim::{CorruptionModel, PopulationMode, TransportSpec};
 
 /// One unit of distributed work: a single sweep cell, self-contained.
 #[derive(Clone, Debug, PartialEq)]
@@ -121,173 +120,37 @@ impl std::error::Error for WireError {}
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// A `u64` payload as a quoted decimal string (exact beyond 2⁵³).
-fn ju64(v: u64) -> String {
-    format!("\"{v}\"")
-}
-
-/// An optional `u64` payload (`null` when absent).
-fn jopt_u64(v: Option<u64>) -> String {
-    v.map_or_else(|| "null".into(), ju64)
-}
-
-fn inputs_obj(inputs: &InputPattern) -> String {
-    match inputs {
-        InputPattern::Unanimous(b) => format!("{{\"kind\": \"unanimous\", \"bit\": {b}}}"),
-        InputPattern::Alternating => "{\"kind\": \"alternating\"}".into(),
-        InputPattern::EveryThird => "{\"kind\": \"every_third\"}".into(),
-        InputPattern::FirstFrac(frac) => {
-            format!("{{\"kind\": \"first_frac\", \"frac\": {}}}", json_number(*frac))
-        }
-        InputPattern::SenderParity => "{\"kind\": \"sender_parity\"}".into(),
-    }
-}
-
-fn adversary_obj(adv: &AdversarySpec) -> String {
-    match adv {
-        AdversarySpec::Passive => "{\"kind\": \"passive\"}".into(),
-        AdversarySpec::CommitteeEraser => "{\"kind\": \"committee_eraser\"}".into(),
-        AdversarySpec::StarveQuorum => "{\"kind\": \"starve_quorum\"}".into(),
-        AdversarySpec::CrashTail { at_round } => {
-            format!("{{\"kind\": \"crash_tail\", \"at_round\": {}}}", ju64(*at_round))
-        }
-        AdversarySpec::CertForger { target } => {
-            format!("{{\"kind\": \"cert_forger\", \"target\": {target}}}")
-        }
-        AdversarySpec::VoteFlipper => "{\"kind\": \"vote_flipper\"}".into(),
-        AdversarySpec::EquivocationSpammer => "{\"kind\": \"equivocation_spammer\"}".into(),
-        AdversarySpec::SilenceThenBurst { at_round } => {
-            format!("{{\"kind\": \"silence_burst\", \"at_round\": {}}}", ju64(*at_round))
-        }
-        AdversarySpec::AdaptiveEclipse { per_round } => {
-            format!("{{\"kind\": \"adaptive_eclipse\", \"per_round\": {per_round}}}")
-        }
-        AdversarySpec::EclipseBurst { at_round } => {
-            format!("{{\"kind\": \"eclipse_burst\", \"at_round\": {}}}", ju64(*at_round))
-        }
-    }
-}
-
-fn protocol_obj(protocol: &ProtocolSpec) -> String {
-    match protocol {
-        ProtocolSpec::SubqHalf { lambda, max_iters } => format!(
-            "{{\"kind\": \"subq_half\", \"lambda\": {}, \"max_iters\": {}}}",
-            json_number(*lambda),
-            jopt_u64(*max_iters)
-        ),
-        ProtocolSpec::QuadraticHalf => "{\"kind\": \"quadratic_half\"}".into(),
-        ProtocolSpec::WarmupThird { epochs } => {
-            format!("{{\"kind\": \"warmup_third\", \"epochs\": {}}}", ju64(*epochs))
-        }
-        ProtocolSpec::SubqThird { lambda, epochs } => format!(
-            "{{\"kind\": \"subq_third\", \"lambda\": {}, \"epochs\": {}}}",
-            json_number(*lambda),
-            ju64(*epochs)
-        ),
-        ProtocolSpec::SubqShared { lambda, epochs } => format!(
-            "{{\"kind\": \"subq_shared\", \"lambda\": {}, \"epochs\": {}}}",
-            json_number(*lambda),
-            ju64(*epochs)
-        ),
-        ProtocolSpec::ChenMicali { lambda, epochs, erasure } => format!(
-            "{{\"kind\": \"chen_micali\", \"lambda\": {}, \"epochs\": {}, \"erasure\": {erasure}}}",
-            json_number(*lambda),
-            ju64(*epochs)
-        ),
-        ProtocolSpec::MomoseRenHalf { views } => {
-            format!("{{\"kind\": \"momose_ren\", \"views\": {}}}", ju64(*views))
-        }
-        ProtocolSpec::CksAdaptive { phases } => {
-            format!("{{\"kind\": \"cks\", \"phases\": {}}}", ju64(*phases))
-        }
-        ProtocolSpec::DolevStrong { ds_f } => {
-            format!("{{\"kind\": \"dolev_strong\", \"ds_f\": {ds_f}}}")
-        }
-        ProtocolSpec::BaFromBb { ds_f } => {
-            format!("{{\"kind\": \"ba_from_bb\", \"ds_f\": {ds_f}}}")
-        }
-        ProtocolSpec::IterBroadcast { lambda } => {
-            format!("{{\"kind\": \"iter_broadcast\", \"lambda\": {}}}", json_number(*lambda))
-        }
-        ProtocolSpec::Theorem4 { fanout } => {
-            format!("{{\"kind\": \"theorem4\", \"fanout\": {fanout}}}")
-        }
-        ProtocolSpec::Theorem3 { committee } => {
-            format!("{{\"kind\": \"theorem3\", \"committee\": {committee}}}")
-        }
-        ProtocolSpec::GoodIteration { lambda, mine_seed } => format!(
-            "{{\"kind\": \"good_iteration\", \"lambda\": {}, \"mine_seed\": {}}}",
-            json_number(*lambda),
-            ju64(*mine_seed)
-        ),
-        ProtocolSpec::CommitteeTails { lambda } => {
-            format!("{{\"kind\": \"committee_tails\", \"lambda\": {}}}", json_number(*lambda))
-        }
-        ProtocolSpec::CommitteeSample { lambda } => {
-            format!("{{\"kind\": \"committee_sample\", \"lambda\": {}}}", json_number(*lambda))
-        }
-    }
-}
-
 /// The lossless scenario-spec object (distinct from the human-oriented
-/// `scenario` object of report JSON, which renders `describe()` strings).
-fn scenario_spec(sc: &Scenario) -> String {
-    let model = match sc.model {
-        CorruptionModel::Static => "static",
-        CorruptionModel::Adaptive => "adaptive",
-        CorruptionModel::StronglyAdaptive => "strongly_adaptive",
-    };
-    let elig = match sc.elig {
-        EligMode::Ideal => "ideal",
-        EligMode::Real => "real",
-    };
-    let elig_seed = match sc.elig_seed {
-        EligSeed::PerRun => "{\"kind\": \"per_run\"}".to_string(),
-        EligSeed::Fixed(s) => format!("{{\"kind\": \"fixed\", \"seed\": {}}}", ju64(s)),
-    };
-    // Encoded whenever set — even an empty plan — so the descriptor is a
-    // lossless scenario image (the human-oriented `describe()` rendering,
-    // by contrast, omits empty plans).
-    let faults = match &sc.fault_plan {
-        Some(plan) => format!(", \"faults\": \"{plan}\""),
-        None => String::new(),
-    };
-    // Encoded only when on — off is the only state pre-claimed-bound
-    // coordinators could produce, so old and new descriptors for an
-    // unmarked scenario stay byte-identical.
-    let claimed = if sc.claimed_bound { ", \"claimed_bound\": true" } else { "" };
-    format!(
-        "{{\"label\": \"{}\", \"n\": {}, \"f\": {}, \"model\": \"{model}\", \
-         \"inputs\": {}, \"adversary\": {}, \"protocol\": {}, \
-         \"elig\": \"{elig}\", \"elig_seed\": {elig_seed}, \
-         \"seed_offset\": {}, \"seeds\": {}, \"sim_threads\": {}, \
-         \"population\": \"{}\", \"transport\": \"{}\", \
-         \"cert_encoding\": \"{}\"{faults}{claimed}}}",
-        json_escape(&sc.label),
-        sc.n,
-        sc.f,
-        inputs_obj(&sc.inputs),
-        adversary_obj(&sc.adversary),
-        protocol_obj(&sc.protocol),
-        ju64(sc.seed_offset),
-        jopt_u64(sc.seeds),
-        sc.sim_threads,
-        sc.population,
-        sc.transport,
-        sc.cert_encoding,
-    )
+/// `scenario` object of report JSON, which renders `describe()` pairs):
+/// one string member per [`AXES`] row that has a value, in the row's
+/// lossless `{:#}` grammar. `u64` payloads therefore travel as decimal
+/// text, exact beyond 2⁵³, and `f64` payloads in Rust's shortest-roundtrip
+/// rendering.
+fn scenario_spec(out: &mut String, sc: &Scenario) {
+    let mut sep = "{";
+    for axis in AXES {
+        if let Some(value) = (axis.get)(sc) {
+            let _ = write!(out, "{sep}\"{}\": \"", axis.key);
+            let _ = write!(JsonEscaped(out), "{value:#}");
+            out.push('"');
+            sep = ", ";
+        }
+    }
+    out.push('}');
 }
 
 /// Renders a cell descriptor as one wire line (no trailing newline).
 pub fn encode_descriptor(d: &CellDescriptor) -> String {
-    format!(
+    let mut out = format!(
         "{{\"schema\": \"{CELL_STREAM_SCHEMA}\", \"type\": \"cell\", \"id\": {}, \
-         \"sweep\": \"{}\", \"seeds\": {}, \"scenario\": {}}}",
+         \"sweep\": \"{}\", \"seeds\": \"{}\", \"scenario\": ",
         d.id,
         json_escape(&d.sweep),
-        ju64(d.seeds),
-        scenario_spec(&d.scenario),
-    )
+        d.seeds,
+    );
+    scenario_spec(&mut out, &d.scenario);
+    out.push('}');
+    out
 }
 
 /// Renders a worker refusal as one wire line (no trailing newline).
@@ -307,263 +170,43 @@ fn field<'a>(v: &'a Json, name: &'static str) -> Result<&'a Json, WireError> {
     v.get(name).ok_or(WireError::Missing(name))
 }
 
-fn dec_str(v: &Json, name: &'static str) -> Result<String, WireError> {
+fn dec_str<'a>(v: &'a Json, name: &'static str) -> Result<&'a str, WireError> {
     field(v, name)?
         .as_str()
-        .map(str::to_string)
         .ok_or(WireError::Invalid { field: name, detail: "expected a string".into() })
 }
 
-fn dec_bool(v: &Json, name: &'static str) -> Result<bool, WireError> {
-    match field(v, name)? {
-        Json::Bool(b) => Ok(*b),
-        other => Err(WireError::Invalid {
-            field: name,
-            detail: format!("expected a bool, got {other:?}"),
-        }),
-    }
-}
-
-fn dec_f64(v: &Json, name: &'static str) -> Result<f64, WireError> {
-    field(v, name)?
-        .as_num()
-        .ok_or(WireError::Invalid { field: name, detail: "expected a number".into() })
-}
-
-/// Decodes a string-encoded `u64` payload.
-fn dec_u64(v: &Json, name: &'static str) -> Result<u64, WireError> {
-    let s = field(v, name)?
-        .as_str()
-        .ok_or(WireError::Invalid { field: name, detail: "expected a decimal string".into() })?;
-    s.parse::<u64>()
-        .map_err(|e| WireError::Invalid { field: name, detail: format!("not a u64: {e}") })
-}
-
-fn dec_opt_u64(v: &Json, name: &'static str) -> Result<Option<u64>, WireError> {
-    match field(v, name)? {
-        Json::Null => Ok(None),
-        Json::Str(s) => s
-            .parse::<u64>()
-            .map(Some)
-            .map_err(|e| WireError::Invalid { field: name, detail: format!("not a u64: {e}") }),
-        other => Err(WireError::Invalid {
-            field: name,
-            detail: format!("expected a decimal string or null, got {other:?}"),
-        }),
-    }
-}
-
-/// Decodes a plain-number integer (ids and `usize` axes; validated to be a
+/// Decodes a plain-number integer (ids and run seeds; validated to be a
 /// non-negative integral value inside the exact `f64` range).
-fn num_to_int(v: f64, name: &'static str) -> Result<u64, WireError> {
-    if !(v.is_finite() && v >= 0.0 && v == v.trunc() && v <= 9_007_199_254_740_992.0) {
-        return Err(WireError::Invalid {
-            field: name,
-            detail: format!("not an exact non-negative integer: {v}"),
-        });
-    }
-    Ok(v as u64)
-}
-
-fn dec_usize(v: &Json, name: &'static str) -> Result<usize, WireError> {
-    Ok(num_to_int(dec_f64(v, name)?, name)? as usize)
-}
-
-fn dec_inputs(v: &Json) -> Result<InputPattern, WireError> {
-    let obj = field(v, "inputs")?;
-    match dec_str(obj, "kind")?.as_str() {
-        "unanimous" => Ok(InputPattern::Unanimous(dec_bool(obj, "bit")?)),
-        "alternating" => Ok(InputPattern::Alternating),
-        "every_third" => Ok(InputPattern::EveryThird),
-        "first_frac" => Ok(InputPattern::FirstFrac(dec_f64(obj, "frac")?)),
-        "sender_parity" => Ok(InputPattern::SenderParity),
-        other => {
-            Err(WireError::Invalid { field: "inputs", detail: format!("unknown kind {other:?}") })
-        }
-    }
-}
-
-fn dec_adversary(v: &Json) -> Result<AdversarySpec, WireError> {
-    let obj = field(v, "adversary")?;
-    match dec_str(obj, "kind")?.as_str() {
-        "passive" => Ok(AdversarySpec::Passive),
-        "committee_eraser" => Ok(AdversarySpec::CommitteeEraser),
-        "starve_quorum" => Ok(AdversarySpec::StarveQuorum),
-        "crash_tail" => Ok(AdversarySpec::CrashTail { at_round: dec_u64(obj, "at_round")? }),
-        "cert_forger" => Ok(AdversarySpec::CertForger { target: dec_bool(obj, "target")? }),
-        "vote_flipper" => Ok(AdversarySpec::VoteFlipper),
-        "equivocation_spammer" => Ok(AdversarySpec::EquivocationSpammer),
-        "silence_burst" => {
-            Ok(AdversarySpec::SilenceThenBurst { at_round: dec_u64(obj, "at_round")? })
-        }
-        "adaptive_eclipse" => {
-            Ok(AdversarySpec::AdaptiveEclipse { per_round: dec_usize(obj, "per_round")? })
-        }
-        "eclipse_burst" => Ok(AdversarySpec::EclipseBurst { at_round: dec_u64(obj, "at_round")? }),
+fn dec_int(v: &Json, name: &'static str) -> Result<u64, WireError> {
+    match field(v, name)?.as_num() {
+        Some(x) if x >= 0.0 && x == x.trunc() && x <= 9_007_199_254_740_992.0 => Ok(x as u64),
         other => Err(WireError::Invalid {
-            field: "adversary",
-            detail: format!("unknown kind {other:?}"),
+            field: name,
+            detail: format!("not an exact non-negative integer: {other:?}"),
         }),
     }
 }
 
-fn dec_protocol(v: &Json) -> Result<ProtocolSpec, WireError> {
-    let obj = field(v, "protocol")?;
-    match dec_str(obj, "kind")?.as_str() {
-        "subq_half" => Ok(ProtocolSpec::SubqHalf {
-            lambda: dec_f64(obj, "lambda")?,
-            max_iters: dec_opt_u64(obj, "max_iters")?,
-        }),
-        "quadratic_half" => Ok(ProtocolSpec::QuadraticHalf),
-        "warmup_third" => Ok(ProtocolSpec::WarmupThird { epochs: dec_u64(obj, "epochs")? }),
-        "subq_third" => Ok(ProtocolSpec::SubqThird {
-            lambda: dec_f64(obj, "lambda")?,
-            epochs: dec_u64(obj, "epochs")?,
-        }),
-        "subq_shared" => Ok(ProtocolSpec::SubqShared {
-            lambda: dec_f64(obj, "lambda")?,
-            epochs: dec_u64(obj, "epochs")?,
-        }),
-        "chen_micali" => Ok(ProtocolSpec::ChenMicali {
-            lambda: dec_f64(obj, "lambda")?,
-            epochs: dec_u64(obj, "epochs")?,
-            erasure: dec_bool(obj, "erasure")?,
-        }),
-        "momose_ren" => Ok(ProtocolSpec::MomoseRenHalf { views: dec_u64(obj, "views")? }),
-        "cks" => Ok(ProtocolSpec::CksAdaptive { phases: dec_u64(obj, "phases")? }),
-        "dolev_strong" => Ok(ProtocolSpec::DolevStrong { ds_f: dec_usize(obj, "ds_f")? }),
-        "ba_from_bb" => Ok(ProtocolSpec::BaFromBb { ds_f: dec_usize(obj, "ds_f")? }),
-        "iter_broadcast" => Ok(ProtocolSpec::IterBroadcast { lambda: dec_f64(obj, "lambda")? }),
-        "theorem4" => Ok(ProtocolSpec::Theorem4 { fanout: dec_usize(obj, "fanout")? }),
-        "theorem3" => Ok(ProtocolSpec::Theorem3 { committee: dec_usize(obj, "committee")? }),
-        "good_iteration" => Ok(ProtocolSpec::GoodIteration {
-            lambda: dec_f64(obj, "lambda")?,
-            mine_seed: dec_u64(obj, "mine_seed")?,
-        }),
-        "committee_tails" => Ok(ProtocolSpec::CommitteeTails { lambda: dec_f64(obj, "lambda")? }),
-        "committee_sample" => Ok(ProtocolSpec::CommitteeSample { lambda: dec_f64(obj, "lambda")? }),
-        other => {
-            Err(WireError::Invalid { field: "protocol", detail: format!("unknown kind {other:?}") })
-        }
-    }
-}
-
+/// Decodes the scenario-spec object, one loop over [`AXES`] under one rule:
+/// an absent optional key keeps [`Scenario::new`]'s default
+/// (what a coordinator from before the axis existed meant), an absent
+/// required key is [`WireError::Missing`], and a present key that is not a
+/// string in the row's grammar is [`WireError::Invalid`] naming it. The
+/// decoded scenario must also pass [`Scenario::check`]: a descriptor its
+/// family cannot execute is refused here, in band, instead of panicking
+/// the worker that runs it.
 fn dec_scenario(v: &Json) -> Result<Scenario, WireError> {
     let obj = field(v, "scenario")?;
-    let model = match dec_str(obj, "model")?.as_str() {
-        "static" => CorruptionModel::Static,
-        "adaptive" => CorruptionModel::Adaptive,
-        "strongly_adaptive" => CorruptionModel::StronglyAdaptive,
-        other => {
-            return Err(WireError::Invalid {
-                field: "model",
-                detail: format!("unknown model {other:?}"),
-            })
+    let mut sc = Scenario::blank();
+    for axis in AXES {
+        if !axis.optional || obj.get(axis.key).is_some() {
+            (axis.set)(&mut sc, dec_str(obj, axis.key)?)
+                .map_err(|detail| WireError::Invalid { field: axis.key, detail })?;
         }
-    };
-    let elig = match dec_str(obj, "elig")?.as_str() {
-        "ideal" => EligMode::Ideal,
-        "real" => EligMode::Real,
-        other => {
-            return Err(WireError::Invalid {
-                field: "elig",
-                detail: format!("unknown mode {other:?}"),
-            })
-        }
-    };
-    let fault_plan = match obj.get("faults") {
-        // Same legacy tolerance as the other optional axes: absent = no
-        // fault layer, the only state pre-chaos coordinators could produce.
-        None => None,
-        Some(v) => {
-            let s = v.as_str().ok_or(WireError::Invalid {
-                field: "faults",
-                detail: "expected a string".into(),
-            })?;
-            Some(s.parse().map_err(|e: String| WireError::Invalid { field: "faults", detail: e })?)
-        }
-    };
-    let es_obj = field(obj, "elig_seed")?;
-    let elig_seed = match dec_str(es_obj, "kind")?.as_str() {
-        "per_run" => EligSeed::PerRun,
-        "fixed" => EligSeed::Fixed(dec_u64(es_obj, "seed")?),
-        other => {
-            return Err(WireError::Invalid {
-                field: "elig_seed",
-                detail: format!("unknown kind {other:?}"),
-            })
-        }
-    };
-    // Every engine asserts `f < n`; a descriptor that breaks it must be
-    // refused here, in band, not panic the worker that executes it.
-    let (n, f) = (dec_usize(obj, "n")?, dec_usize(obj, "f")?);
-    if f >= n {
-        return Err(WireError::Invalid {
-            field: "f",
-            detail: format!("corruption budget {f} must leave one honest node of n = {n}"),
-        });
     }
-    Ok(Scenario {
-        label: dec_str(obj, "label")?,
-        n,
-        f,
-        model,
-        inputs: dec_inputs(obj)?,
-        adversary: dec_adversary(obj)?,
-        protocol: dec_protocol(obj)?,
-        elig,
-        elig_seed,
-        seed_offset: dec_u64(obj, "seed_offset")?,
-        seeds: dec_opt_u64(obj, "seeds")?,
-        sim_threads: dec_usize(obj, "sim_threads")?.max(1),
-        // Encoded by every current coordinator; tolerated absent so workers
-        // keep accepting descriptors from older builds (absent = dense, the
-        // only mode those builds could produce).
-        population: match obj.get("population") {
-            None => PopulationMode::Dense,
-            Some(v) => {
-                let s = v.as_str().ok_or(WireError::Invalid {
-                    field: "population",
-                    detail: "expected a string".into(),
-                })?;
-                s.parse()
-                    .map_err(|e: String| WireError::Invalid { field: "population", detail: e })?
-            }
-        },
-        // Same legacy tolerance as `population`: absent = lockstep, the
-        // only transport pre-transport coordinators could produce.
-        transport: match obj.get("transport") {
-            None => TransportSpec::Lockstep,
-            Some(v) => {
-                let s = v.as_str().ok_or(WireError::Invalid {
-                    field: "transport",
-                    detail: "expected a string".into(),
-                })?;
-                s.parse()
-                    .map_err(|e: String| WireError::Invalid { field: "transport", detail: e })?
-            }
-        },
-        // Same legacy tolerance again: absent = vector, the only encoding
-        // pre-aggregation coordinators could produce.
-        cert_encoding: match obj.get("cert_encoding") {
-            None => CertEncoding::Vector,
-            Some(v) => {
-                let s = v.as_str().ok_or(WireError::Invalid {
-                    field: "cert_encoding",
-                    detail: "expected a string".into(),
-                })?;
-                s.parse()
-                    .map_err(|e: String| WireError::Invalid { field: "cert_encoding", detail: e })?
-            }
-        },
-        fault_plan,
-        // Same legacy tolerance: absent = off, the only state
-        // pre-claimed-bound coordinators could produce.
-        claimed_bound: match obj.get("claimed_bound") {
-            None => false,
-            Some(_) => dec_bool(obj, "claimed_bound")?,
-        },
-    })
+    sc.check().map_err(|detail| WireError::Invalid { field: "scenario", detail })?;
+    Ok(sc)
 }
 
 /// Parses a wire line and validates its schema tag.
@@ -584,9 +227,13 @@ pub fn decode_descriptor(line: &str) -> Result<CellDescriptor, WireError> {
         return Err(WireError::MsgType { got: got.to_string() });
     }
     Ok(CellDescriptor {
-        id: num_to_int(dec_f64(&v, "id")?, "id")?,
-        sweep: dec_str(&v, "sweep")?,
-        seeds: dec_u64(&v, "seeds")?,
+        id: dec_int(&v, "id")?,
+        sweep: dec_str(&v, "sweep")?.to_string(),
+        // A decimal string, like every `u64` on the wire: exact beyond 2⁵³.
+        seeds: dec_str(&v, "seeds")?.parse().map_err(|e| WireError::Invalid {
+            field: "seeds",
+            detail: format!("not a u64: {e}"),
+        })?,
         scenario: dec_scenario(&v)?,
     })
 }
@@ -599,7 +246,7 @@ pub fn decode_descriptor(line: &str) -> Result<CellDescriptor, WireError> {
 /// the wire; rendered outputs (JSON, CSV) are unaffected because all
 /// renderers group the same way.
 fn dec_run(v: &Json) -> Result<RunRecord, WireError> {
-    let seed = num_to_int(dec_f64(v, "seed")?, "seed")?;
+    let seed = dec_int(v, "seed")?;
     let Some(Json::Obj(members)) = v.get("values") else {
         return Err(WireError::Invalid { field: "values", detail: "expected an object".into() });
     };
@@ -637,7 +284,7 @@ pub fn decode_reply(line: &str) -> Result<WorkerReply, WireError> {
     let v = parse_line(line)?;
     match v.get("type").and_then(Json::as_str).unwrap_or_default() {
         "result" => {
-            let id = num_to_int(dec_f64(&v, "id")?, "id")?;
+            let id = dec_int(&v, "id")?;
             let Some(runs) = v.get("runs").and_then(Json::as_arr) else {
                 return Err(WireError::Missing("runs"));
             };
@@ -645,8 +292,8 @@ pub fn decode_reply(line: &str) -> Result<WorkerReply, WireError> {
             Ok(WorkerReply::Result { id, runs })
         }
         "error" => Ok(WorkerReply::Refusal {
-            id: num_to_int(dec_f64(&v, "id")?, "id")?,
-            error: dec_str(&v, "error")?,
+            id: dec_int(&v, "id")?,
+            error: dec_str(&v, "error")?.to_string(),
         }),
         other => Err(WireError::MsgType { got: other.to_string() }),
     }
@@ -728,8 +375,7 @@ fn kill_self() -> ! {
 /// Best-effort id extraction from a line that failed descriptor decoding,
 /// so the worker can refuse the cell instead of dying on it.
 fn salvage_id(line: &str) -> Option<u64> {
-    let v = parse_json(line).ok()?;
-    num_to_int(v.get("id")?.as_num()?, "id").ok()
+    dec_int(&parse_json(line).ok()?, "id").ok()
 }
 
 /// The worker side of the protocol: reads cell descriptors line by line,
@@ -792,15 +438,23 @@ pub fn worker_main(fail: Option<FailPlan>) -> i32 {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::scenario::{AdversarySpec, Axis, InputPattern, ProtocolSpec};
+    use ba_core::cert::CertEncoding;
+    use ba_sim::{CorruptionModel, FaultPlan, PopulationMode, TransportSpec};
 
-    fn sample_scenario() -> Scenario {
+    /// A scenario with **every** axis off its [`Scenario::new`] default (the
+    /// per-axis loops here and in `crate::cli` lean on that: they read each
+    /// row's sample value from it, so a new row extends this one builder
+    /// chain and is covered).
+    pub(crate) fn sample_scenario() -> Scenario {
         Scenario::new("cell \"x\"", 48, ProtocolSpec::SubqHalf { lambda: 12.5, max_iters: Some(6) })
             .f(19)
             .model(CorruptionModel::Adaptive)
             .inputs(InputPattern::FirstFrac(0.375))
             .adversary(AdversarySpec::EclipseBurst { at_round: 3 })
+            .real_elig()
             .elig_fixed(u64::MAX)
             .seed_offset(u64::MAX - 7)
             .seeds(5)
@@ -811,12 +465,24 @@ mod tests {
                 gst_ms: 35,
                 dist: ba_sim::DelayDist::Uniform { lo_ms: 1, hi_ms: 9 },
             })
+            .cert_encoding(CertEncoding::Aggregate)
             .faults(
                 "drop:p=0.25:from=1:until=9,dup:p=0.1,reorder:p=0.05:budget=3,\
                  partition:2..5=24,sched=adversarial"
                     .parse()
                     .expect("a canonical fault plan"),
             )
+            .with_claimed_bound()
+    }
+
+    /// An axis of `sc` in its lossless wire grammar (`None` when unset).
+    pub(crate) fn rendered(axis: &Axis, sc: &Scenario) -> Option<String> {
+        (axis.get)(sc).map(|value| format!("{value:#}"))
+    }
+
+    fn plain_cell(id: u64) -> CellDescriptor {
+        let scenario = Scenario::new("c", 5, ProtocolSpec::QuadraticHalf);
+        CellDescriptor { id, sweep: "s".into(), seeds: 1, scenario }
     }
 
     #[test]
@@ -848,102 +514,63 @@ mod tests {
         assert_eq!(runs, report.cells[0].runs, "wire decoding changed the records");
     }
 
+    /// The one absent-key rule, row by row: deleting a key from a full
+    /// descriptor is `Missing` for a required axis and `Scenario::new`'s
+    /// default — every other axis untouched — for an optional one; a value
+    /// that is not a string in the row's grammar is `Invalid` naming the key.
     #[test]
-    fn population_field_is_optional_on_decode() {
-        // Descriptors from pre-population coordinators lack the field
-        // entirely; they decode as dense. A malformed value is refused.
-        let desc = CellDescriptor {
-            id: 5,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf),
-        };
+    fn every_axis_follows_its_wire_rule() {
+        let desc = CellDescriptor { scenario: sample_scenario(), ..plain_cell(5) };
+        let defaults = Scenario::blank();
         let line = encode_descriptor(&desc);
-        let legacy = line.replace(", \"population\": \"dense\"", "");
-        assert_ne!(line, legacy, "expected the population field to be encoded");
-        assert_eq!(decode_descriptor(&legacy).expect("legacy line decodes"), desc);
-        let mangled = line.replace("\"population\": \"dense\"", "\"population\": \"ultra\"");
-        assert!(matches!(
-            decode_descriptor(&mangled),
-            Err(WireError::Invalid { field: "population", .. })
-        ));
+        for axis in AXES {
+            let value = rendered(axis, &desc.scenario).expect("the sample sets every axis");
+            assert_ne!(Some(&value), rendered(axis, &defaults).as_ref(), "{}: default", axis.key);
+            let member = format!("\"{}\": \"{}\"", axis.key, json_escape(&value));
+            assert!(line.contains(&member), "{} is not encoded as {member}", axis.key);
+
+            let without = match line.contains(&format!(", {member}")) {
+                true => line.replace(&format!(", {member}"), ""),
+                false => line.replace(&format!("{member}, "), ""),
+            };
+            match (axis.optional, decode_descriptor(&without)) {
+                (false, got) => assert_eq!(got, Err(WireError::Missing(axis.key))),
+                (true, got) => {
+                    let got = got.expect("a tolerated-absent key decodes").scenario;
+                    for other in AXES {
+                        let from = if other.key == axis.key { &defaults } else { &desc.scenario };
+                        assert_eq!(rendered(other, &got), rendered(other, from), "{}", other.key);
+                    }
+                }
+            }
+
+            // A free-text label accepts any string; every other grammar
+            // refuses this one.
+            let bad_values: &[&str] =
+                if axis.key == "label" { &["7"] } else { &["7", "\"\\u0007 carrier-pigeon\""] };
+            for bad in bad_values {
+                let mangled = line.replace(&member, &format!("\"{}\": {bad}", axis.key));
+                assert!(
+                    matches!(
+                        decode_descriptor(&mangled),
+                        Err(WireError::Invalid { field, .. }) if field == axis.key
+                    ),
+                    "{} = {bad} must be refused by name",
+                    axis.key
+                );
+            }
+        }
     }
 
     #[test]
-    fn cert_encoding_field_is_optional_on_decode() {
-        // Descriptors from pre-aggregation coordinators lack the field
-        // entirely; absent must decode as the vector encoding.
-        let d = CellDescriptor {
-            id: 3,
-            sweep: "s".into(),
-            seeds: 2,
-            scenario: Scenario::new("q", 9, ProtocolSpec::QuadraticHalf)
-                .cert_encoding(CertEncoding::Aggregate),
-        };
-        let line = encode_descriptor(&d);
-        let back = decode_descriptor(&line).unwrap();
-        assert_eq!(back.scenario.cert_encoding, CertEncoding::Aggregate);
-        let legacy = line.replace(", \"cert_encoding\": \"aggregate\"", "");
-        assert!(!legacy.contains("cert_encoding"));
-        let back = decode_descriptor(&legacy).unwrap();
-        assert_eq!(back.scenario.cert_encoding, CertEncoding::Vector);
-    }
-
-    #[test]
-    fn transport_field_is_optional_on_decode() {
-        // Descriptors from pre-transport coordinators lack the field
-        // entirely; they decode as lockstep. A malformed value is refused.
-        let desc = CellDescriptor {
-            id: 6,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf),
-        };
-        let line = encode_descriptor(&desc);
-        let legacy = line.replace(", \"transport\": \"lockstep\"", "");
-        assert_ne!(line, legacy, "expected the transport field to be encoded");
-        assert_eq!(decode_descriptor(&legacy).expect("legacy line decodes"), desc);
-        let mangled =
-            line.replace("\"transport\": \"lockstep\"", "\"transport\": \"carrier-pigeon\"");
-        assert!(matches!(
-            decode_descriptor(&mangled),
-            Err(WireError::Invalid { field: "transport", .. })
-        ));
-    }
-
-    #[test]
-    fn faults_field_is_optional_on_decode() {
-        use ba_sim::FaultPlan;
-        // Descriptors from pre-chaos coordinators lack the field entirely;
-        // they decode with no fault layer. A malformed plan is refused.
-        let desc = CellDescriptor {
-            id: 8,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf)
-                .faults("drop:p=0.5".parse().expect("a drop plan")),
-        };
-        let line = encode_descriptor(&desc);
-        let back = decode_descriptor(&line).expect("decodes");
-        assert_eq!(back.scenario.fault_plan, desc.scenario.fault_plan);
-        // An explicitly empty plan also survives the wire (it is not the
-        // same scenario as one with no fault layer at all).
-        let empty = CellDescriptor {
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf)
-                .faults(FaultPlan::default()),
-            ..desc.clone()
-        };
+    fn an_explicitly_empty_fault_plan_survives_the_wire() {
+        // It is not the same scenario as one with no fault layer at all.
+        let mut empty = plain_cell(8);
+        empty.scenario = empty.scenario.faults(FaultPlan::default());
         let back = decode_descriptor(&encode_descriptor(&empty)).expect("decodes");
         assert_eq!(back.scenario.fault_plan, Some(FaultPlan::default()));
-        let legacy = line.replace(", \"faults\": \"drop:p=0.5\"", "");
-        assert_ne!(line, legacy, "expected the faults field to be encoded");
-        let back = decode_descriptor(&legacy).expect("legacy line decodes");
+        let back = decode_descriptor(&encode_descriptor(&plain_cell(8))).expect("decodes");
         assert_eq!(back.scenario.fault_plan, None);
-        let mangled = line.replace("\"faults\": \"drop:p=0.5\"", "\"faults\": \"meteor:p=1\"");
-        assert!(matches!(
-            decode_descriptor(&mangled),
-            Err(WireError::Invalid { field: "faults", .. })
-        ));
     }
 
     #[test]
@@ -965,16 +592,11 @@ mod tests {
     }
 
     #[test]
-    fn claimed_bound_field_is_optional_on_decode() {
+    fn claimed_bound_off_is_not_encoded() {
         // Off (the default) is not encoded at all — descriptors for
-        // unmarked scenarios stay byte-identical to pre-claimed-bound
-        // coordinators' output — and absent decodes as off.
-        let plain = CellDescriptor {
-            id: 12,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf),
-        };
+        // unmarked scenarios carry no trace of the axis — and absent
+        // decodes as off.
+        let plain = plain_cell(12);
         let line = encode_descriptor(&plain);
         assert!(!line.contains("claimed_bound"));
         assert!(!decode_descriptor(&line).expect("decodes").scenario.claimed_bound);
@@ -983,19 +605,13 @@ mod tests {
             ..plain.clone()
         };
         let marked_line = encode_descriptor(&marked);
-        assert_eq!(marked_line.replace(", \"claimed_bound\": true", ""), line);
+        assert_eq!(marked_line.replace(", \"claimed_bound\": \"on\"", ""), line);
         assert!(decode_descriptor(&marked_line).expect("decodes").scenario.claimed_bound);
     }
 
     #[test]
     fn schema_version_is_refused() {
-        let desc = CellDescriptor {
-            id: 1,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf),
-        };
-        let line = encode_descriptor(&desc).replace("cell-stream/v1", "cell-stream/v9");
+        let line = encode_descriptor(&plain_cell(1)).replace("cell-stream/v1", "cell-stream/v9");
         assert!(matches!(
             decode_descriptor(&line),
             Err(WireError::Schema { got }) if got.ends_with("v9")
@@ -1009,13 +625,7 @@ mod tests {
     fn truncated_and_garbage_lines_are_structured_errors() {
         assert!(matches!(decode_descriptor("{\"schema\": \"ba-ben"), Err(WireError::Parse(_))));
         assert!(matches!(decode_reply("not json at all"), Err(WireError::Parse(_))));
-        let desc = CellDescriptor {
-            id: 3,
-            sweep: "s".into(),
-            seeds: 1,
-            scenario: Scenario::new("c", 5, ProtocolSpec::QuadraticHalf),
-        };
-        let full = encode_descriptor(&desc);
+        let full = encode_descriptor(&plain_cell(3));
         let truncated = &full[..full.len() - 10];
         assert!(decode_descriptor(truncated).is_err());
         // Unknown message types are refused with the offending tag.
@@ -1027,41 +637,66 @@ mod tests {
 
     #[test]
     fn worker_loop_serves_refuses_and_exits() {
+        use {AdversarySpec as A, InputPattern as I, ProtocolSpec as P};
         let desc = CellDescriptor {
             id: 0,
             sweep: "w".into(),
             seeds: 2,
-            scenario: Scenario::new("q", 5, ProtocolSpec::QuadraticHalf)
-                .inputs(InputPattern::Unanimous(true)),
+            scenario: Scenario::new("q", 5, P::QuadraticHalf).inputs(I::Unanimous(true)),
         };
-        // A served cell, a blank line to skip, and two refusable lines (id
-        // present, bad scenario): an unknown protocol, and a well-formed
-        // descriptor whose corruption budget leaves no honest node.
-        let bad = encode_descriptor(&CellDescriptor { id: 7, ..desc.clone() })
-            .replace("quadratic_half", "martian_protocol");
-        let all_corrupt = encode_descriptor(&CellDescriptor {
-            id: 8,
-            scenario: Scenario::new("c", 3, ProtocolSpec::QuadraticHalf).f(5),
-            ..desc.clone()
-        });
-        let input = format!("{}\n\n{}\n{}\n", encode_descriptor(&desc), bad, all_corrupt);
+        let cell = |id: u64, scenario: Scenario| {
+            encode_descriptor(&CellDescriptor { id, scenario, ..desc.clone() })
+        };
+        let quadratic = || Scenario::new("c", 9, P::QuadraticHalf);
+        let dolev = || Scenario::new("c", 9, P::DolevStrong { ds_f: 2 });
+        // A served cell, a blank line to skip, then refusable lines (id
+        // present, bad scenario) — an unknown protocol, and well-formed
+        // descriptors their family cannot execute, each of which would
+        // otherwise panic the worker mid-cell — and last a good cell, which
+        // must still be served. Every refusal names the offending axis.
+        let refused = [
+            (
+                cell(7, quadratic()).replace("quadratic_half", "martian_protocol"),
+                "martian_protocol",
+            ),
+            (cell(8, Scenario::new("c", 3, P::QuadraticHalf).f(5)), "f:"),
+            (cell(9, quadratic().adversary(A::VoteFlipper)), "adversary: vote_flipper"),
+            (cell(10, quadratic().inputs(I::SenderParity)), "inputs: sender_parity"),
+            (cell(11, dolev().inputs(I::Alternating)), "inputs: alternating"),
+            (cell(12, dolev().adversary(A::StarveQuorum)), "adversary: starve_quorum"),
+            (cell(13, Scenario::new("c", 9, P::Theorem4 { fanout: 0 })), "f:"),
+            (cell(14, Scenario::new("c", 9, P::Theorem3 { committee: 9 })), "protocol: theorem3"),
+            (cell(15, Scenario::new("c", 9, P::Theorem3 { committee: 0 })), "protocol: theorem3"),
+            (cell(16, Scenario::new("c", 9, P::SubqThird { lambda: 9.5, epochs: 4 })), "lambda"),
+            (cell(17, Scenario::new("c", 9, P::IterBroadcast { lambda: 0.0 })), "lambda"),
+            (cell(18, quadratic().f(2).adversary(A::CommitteeEraser)), "model: static forbids"),
+        ];
+        let mut input = format!("{}\n\n", encode_descriptor(&desc));
+        for (line, _) in &refused {
+            input += &format!("{line}\n");
+        }
+        input += &format!("{}\n", cell(99, desc.scenario.clone()));
         let mut out = Vec::new();
         let code = worker_loop(input.as_bytes(), &mut out, None);
         assert_eq!(code, 0, "clean EOF");
         let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), refused.len() + 2);
         assert!(matches!(decode_reply(lines[0]), Ok(WorkerReply::Result { id: 0, .. })));
-        for (line, refused, names) in [(lines[1], 7, "martian_protocol"), (lines[2], 8, "\"f\"")] {
+        for (i, (line, (_, names))) in lines[1..].iter().zip(&refused).enumerate() {
             let Ok(WorkerReply::Refusal { id, error }) = decode_reply(line) else {
                 panic!("expected a refusal, got {line:?}");
             };
-            assert_eq!(id, refused);
+            assert_eq!(id, 7 + i as u64);
             assert!(error.contains(names), "{error}");
         }
-        // The served cell's records match an in-process run exactly.
-        let Ok(WorkerReply::Result { runs, .. }) = decode_reply(lines[0]) else { unreachable!() };
+        // The served cells' records match an in-process run exactly.
         let local = Sweep::new("w", 2, vec![desc.scenario]).run(1);
-        assert_eq!(runs, local.cells[0].runs);
+        for (line, served) in [(lines[0], 0), (lines[lines.len() - 1], 99)] {
+            let Ok(WorkerReply::Result { id, runs }) = decode_reply(line) else {
+                panic!("expected a result, got {line:?}");
+            };
+            assert_eq!((id, &runs), (served, &local.cells[0].runs));
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   cell requeued, and the recovered report is still byte-identical;
 //! * a poisoned cell that kills two workers is quarantined into a
 //!   structured error record instead of hanging the sweep or crashing the
-//!   coordinator, and the quarantine surfaces in the JSON renderer.
+//!   coordinator, and the quarantine surfaces in the JSON renderer;
+//! * a cell its protocol family cannot execute is refused in band and
+//!   quarantined at once, costing no worker its life.
 //!
 //! The worker subprocess is the real `ba-bench worker` binary (Cargo
 //! provides its path to integration tests), so these tests exercise the
@@ -33,6 +35,22 @@ fn worker_cmd(extra: &[&str]) -> Vec<String> {
 
 fn dist_cfg(workers: usize, extra: &[&str]) -> DistConfig {
     DistConfig::new(workers, worker_cmd(extra))
+}
+
+/// A worker that dies without replying — like any crash — whenever it is
+/// handed a cell labelled `poison`, and serves every other cell through the
+/// real `ba-bench worker`. (`Scenario::check` gates the decoder, so no
+/// well-formed descriptor panics a worker any more; the death is staged.)
+#[cfg(unix)]
+fn poisonable_cfg(workers: usize) -> DistConfig {
+    let script = format!(
+        "while IFS= read -r line; do \
+           case \"$line\" in *'\"label\": \"poison\"'*) exit 9;; esac; \
+           printf '%s\\n' \"$line\"; \
+         done | '{}' worker",
+        env!("CARGO_BIN_EXE_ba-bench")
+    );
+    DistConfig::new(workers, vec!["sh".into(), "-c".into(), script])
 }
 
 /// The deliberately mixed grid of `sweep_determinism.rs`: three protocol
@@ -136,30 +154,36 @@ fn sigkill_mid_cell_keeps_reports_identical() {
     assert_eq!(mixed_json(&[recovered]), in_process, "SIGKILL mid-cell changed the report");
 }
 
+#[cfg(unix)]
 #[test]
 fn poisoned_cell_is_quarantined_not_fatal() {
-    // The vote flipper does not attack the iteration family: executing this
-    // scenario panics, so every worker handed the cell dies on it. After
-    // two deaths the coordinator must quarantine the cell and finish the
-    // healthy remainder of the grid untouched.
+    // Every worker handed the poisoned cell dies on it. After two deaths
+    // the coordinator must quarantine the cell and finish the healthy
+    // remainder of the grid untouched. The vote flipper does not attack the
+    // iteration family: that cell is refused in band — one attempt, no
+    // death — instead of panicking the worker that would execute it.
     let healthy_a =
         Scenario::new("quad", 9, ProtocolSpec::QuadraticHalf).inputs(InputPattern::Unanimous(true));
     let healthy_b = Scenario::new("epoch", 36, ProtocolSpec::SubqThird { lambda: 12.0, epochs: 6 });
-    let poison =
-        Scenario::new("poison", 48, ProtocolSpec::SubqHalf { lambda: 12.0, max_iters: None })
-            .f(9)
-            .adversary(AdversarySpec::VoteFlipper);
-    let sweep = Sweep::new("poisoned", 2, vec![healthy_a.clone(), poison, healthy_b.clone()]);
+    let subq = ProtocolSpec::SubqHalf { lambda: 12.0, max_iters: None };
+    let poison = Scenario::new("poison", 48, subq.clone()).f(9);
+    let unexecutable =
+        Scenario::new("flipper", 48, subq).f(9).adversary(AdversarySpec::VoteFlipper);
+    let sweep =
+        Sweep::new("poisoned", 2, vec![healthy_a.clone(), poison, unexecutable, healthy_b.clone()]);
 
-    let report = sweep.run_distributed(&dist_cfg(2, &[])).expect("workers spawn");
+    let report = sweep.run_distributed(&poisonable_cfg(2)).expect("workers spawn");
     let err = report.cells[1].error.as_ref().expect("poisoned cell must be quarantined");
     assert_eq!(err.attempts, 2, "quarantine after exactly two worker deaths");
     assert!(report.cells[1].runs.is_empty());
+    let refusal = report.cells[2].error.as_ref().expect("unexecutable cell must be quarantined");
+    assert_eq!(refusal.attempts, 1, "a refusal is final: {}", refusal.detail);
+    assert!(refusal.detail.contains("adversary: vote_flipper"), "{}", refusal.detail);
 
     // The healthy neighbours are untouched by the recovery dance.
     let expected = Sweep::new("poisoned", 2, vec![healthy_a, healthy_b]).run(1);
     assert_eq!(report.cells[0].runs, expected.cells[0].runs);
-    assert_eq!(report.cells[2].runs, expected.cells[1].runs);
+    assert_eq!(report.cells[3].runs, expected.cells[1].runs);
 
     // And the failure is loud: JSON carries the structured record, the
     // markdown summary names the cell.
@@ -169,16 +193,15 @@ fn poisoned_cell_is_quarantined_not_fatal() {
     assert!(summary.contains("poisoned/poison"), "summary must name the cell: {summary}");
 }
 
+#[cfg(unix)]
 #[test]
 fn quarantine_detail_names_the_death() {
     // The structured error record must say *how* the cell failed (here:
-    // the worker's panic-driven exit), not just that it did.
+    // the worker's exit mid-cell), not just that it did.
     let poison =
-        Scenario::new("poison", 20, ProtocolSpec::SubqHalf { lambda: 8.0, max_iters: None })
-            .f(4)
-            .adversary(AdversarySpec::VoteFlipper);
+        Scenario::new("poison", 20, ProtocolSpec::SubqHalf { lambda: 8.0, max_iters: None }).f(4);
     let sweep = Sweep::new("solo", 1, vec![poison]);
-    let report = sweep.run_distributed(&dist_cfg(1, &[])).expect("workers spawn");
+    let report = sweep.run_distributed(&poisonable_cfg(1)).expect("workers spawn");
     let err = report.cells[0].error.as_ref().expect("quarantined");
     assert!(
         err.detail.contains("worker died mid-cell"),

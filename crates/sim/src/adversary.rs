@@ -31,6 +31,33 @@ pub enum CorruptionModel {
     StronglyAdaptive,
 }
 
+/// Canonical lowercase name (report metadata and wire encoding), accepted
+/// back by [`std::str::FromStr`].
+impl std::fmt::Display for CorruptionModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            CorruptionModel::Static => "static",
+            CorruptionModel::Adaptive => "adaptive",
+            CorruptionModel::StronglyAdaptive => "strongly_adaptive",
+        })
+    }
+}
+
+impl std::str::FromStr for CorruptionModel {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<CorruptionModel, String> {
+        match s {
+            "static" => Ok(CorruptionModel::Static),
+            "adaptive" => Ok(CorruptionModel::Adaptive),
+            "strongly_adaptive" => Ok(CorruptionModel::StronglyAdaptive),
+            other => Err(format!(
+                "unknown corruption model '{other}' (want static|adaptive|strongly_adaptive)"
+            )),
+        }
+    }
+}
+
 /// Why an adversary action was refused.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AdvActionError {
