@@ -3,63 +3,12 @@
 //! `f' ≤ f_max`, in one sweep grid.
 //!
 //! Renders one table per protocol family; rows are matrix cells. The
-//! binary also *asserts* the deterministic edges of the matrix: passive
-//! cells must be fully correct with `dropped_sends == 0`, eclipse cells
-//! under the static model must spend no corruptions, and eraser cells
-//! under the plain adaptive model must perform no removals (the legality
-//! boundary the corruption models define).
+//! binary also *asserts* the deterministic edges of the matrix — honest
+//! cells clean, and the legality boundaries the corruption models define —
+//! through [`assert_matrix_edges`].
 
-use ba_bench::gauntlet::gauntlet_sweeps;
-use ba_bench::{header, row, CellReport, Cli, SweepReport};
-
-fn assert_matrix_edges(reports: &[SweepReport]) {
-    for report in reports {
-        for cell in &report.cells {
-            let label = format!("{}/{}", report.title, cell.scenario.label);
-            // Covers both `passive@` and the real-eligibility `passive_real@`
-            // rows: honest executions stay clean under either backend.
-            if cell.scenario.label.starts_with("passive") {
-                assert_eq!(
-                    cell.count("all_ok"),
-                    cell.runs.len(),
-                    "{label}: honest execution failed"
-                );
-                assert_eq!(
-                    cell.total("dropped_sends"),
-                    0.0,
-                    "{label}: honest execution dropped a unicast"
-                );
-                assert_eq!(cell.total("corrupt_sends"), 0.0, "{label}: phantom corrupt sends");
-            }
-            if cell.scenario.label.starts_with("adaptive_eclipse@static") {
-                assert_eq!(
-                    cell.total("corruptions"),
-                    0.0,
-                    "{label}: static model must refuse mid-run corruption"
-                );
-            }
-            if cell.scenario.label.starts_with("starve_quorum@adaptive") {
-                assert_eq!(
-                    cell.total("removals"),
-                    0.0,
-                    "{label}: adaptive model must refuse after-the-fact removal"
-                );
-            }
-            // Composition legality: the eclipse + burst wings share one
-            // budget; together they must never exceed it.
-            if cell.scenario.label.starts_with("eclipse_burst@") {
-                let f = cell.scenario.f as f64;
-                for (seed, c) in cell.samples("corruptions").iter().enumerate() {
-                    assert!(
-                        *c <= f,
-                        "{label}: composed adversary exceeded the budget at seed {seed} ({c} > {f})"
-                    );
-                }
-                assert_eq!(cell.total("removals"), 0.0, "{label}: neither wing removes");
-            }
-        }
-    }
-}
+use ba_bench::gauntlet::{assert_matrix_edges, gauntlet_sweeps};
+use ba_bench::{header, row, CellReport, Cli};
 
 fn table(cells: &[CellReport]) {
     header(&[

@@ -62,28 +62,19 @@ fn backends() -> Vec<(&'static str, TransportSpec)> {
     ]
 }
 
-/// One row of the fault-intensity axis.
-struct PlanRow {
-    name: &'static str,
-    plan: FaultPlan,
-    /// Within the synchronous model's legal envelope: the paper's safety
-    /// proofs apply, so safety is *asserted*, not just measured.
-    legal: bool,
-}
-
-/// The fault-intensity axis, legal-envelope rows first.
-fn plans(n: usize) -> Vec<PlanRow> {
-    let parse = |s: String| s.parse::<FaultPlan>().expect("a canonical plan string");
-    let row = |name, plan: String, legal| PlanRow { name, plan: parse(plan), legal };
+/// The fault-intensity axis as `(row name, plan)`, legal-envelope rows
+/// first.
+fn plans(n: usize) -> Vec<(&'static str, FaultPlan)> {
+    let row = |name, plan: String| (name, plan.parse().expect("a canonical plan string"));
     vec![
-        PlanRow { name: "clean", plan: FaultPlan::default(), legal: true },
-        row("sched", "sched=adversarial".into(), true),
-        row("dup20", "dup:p=0.2".into(), true),
-        row("drop10", "drop:p=0.1".into(), false),
-        row("drop25", "drop:p=0.25".into(), false),
-        row("reorder20", "reorder:p=0.2:budget=2".into(), false),
-        row("partition1_3", format!("partition:1..3={}", n / 2), false),
-        row("storm", "drop:p=0.1,dup:p=0.1,reorder:p=0.1:budget=2,sched=adversarial".into(), false),
+        ("clean", FaultPlan::default()),
+        row("sched", "sched=adversarial".into()),
+        row("dup20", "dup:p=0.2".into()),
+        row("drop10", "drop:p=0.1".into()),
+        row("drop25", "drop:p=0.25".into()),
+        row("reorder20", "reorder:p=0.2:budget=2".into()),
+        row("partition1_3", format!("partition:1..3={}", n / 2)),
+        row("storm", "drop:p=0.1,dup:p=0.1,reorder:p=0.1:budget=2,sched=adversarial".into()),
     ]
 }
 
@@ -93,11 +84,11 @@ fn family_sweeps(seeds: u64, family: &str, n: usize, spec: ProtocolSpec) -> Vec<
         .map(|(backend, transport)| {
             let cells = plans(n)
                 .into_iter()
-                .map(|r| {
-                    Scenario::new(r.name, n, spec.clone())
+                .map(|(name, plan)| {
+                    Scenario::new(name, n, spec.clone())
                         .inputs(InputPattern::Unanimous(true))
                         .transport(transport)
-                        .faults(r.plan)
+                        .faults(plan)
                 })
                 .collect();
             Sweep::new(format!("{family}/{backend}"), seeds, cells)
@@ -111,8 +102,7 @@ fn family_sweeps(seeds: u64, family: &str, n: usize, spec: ProtocolSpec) -> Vec<
 /// asserted (their erosion is the experiment's finding), but a
 /// quarantined cell is always a violation: the transport layer must
 /// survive every plan even when the protocol above it does not.
-fn safety_violations(cells: &[(&str, &CellReport)], n: usize) -> Vec<String> {
-    let legal: Vec<&str> = plans(n).iter().filter(|r| r.legal).map(|r| r.name).collect();
+fn safety_violations(cells: &[(&str, &CellReport)]) -> Vec<String> {
     let mut violations = Vec::new();
     for (sweep, cell) in cells {
         if let Some(error) = &cell.error {
@@ -122,7 +112,7 @@ fn safety_violations(cells: &[(&str, &CellReport)], n: usize) -> Vec<String> {
             ));
             continue;
         }
-        if !legal.contains(&cell.scenario.label.as_str()) {
+        if !cell.scenario.fault_plan.is_none_or(|plan| plan.within_envelope()) {
             continue;
         }
         let runs = cell.runs.len();
@@ -205,7 +195,7 @@ fn main() {
 
     let labelled: Vec<(&str, &CellReport)> =
         reports.iter().flat_map(|r| r.cells.iter().map(move |c| (r.title.as_str(), c))).collect();
-    let violations = safety_violations(&labelled, n);
+    let violations = safety_violations(&labelled);
     if !violations.is_empty() {
         for v in &violations {
             eprintln!("[e15_faults] SAFETY VIOLATION: {v}");

@@ -61,7 +61,9 @@ fn pass_plan(pass: u64) -> FaultPlan {
         1 => "sched=adversarial",
         _ => "dup:p=0.2,sched=adversarial",
     };
-    text.parse().expect("a canonical plan string")
+    let plan: FaultPlan = text.parse().expect("a canonical plan string");
+    assert!(plan.within_envelope(), "soak plans keep the passive checks theorems: {text}");
+    plan
 }
 
 fn parse_args() -> SoakArgs {

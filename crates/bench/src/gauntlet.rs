@@ -10,12 +10,15 @@
 //! [`Sweep`] engine, so `e11_gauntlet`, the `soak` binary, and the golden
 //! tests all share this builder.
 //!
-//! Expectations encoded by the matrix (checked by `e11_gauntlet` where
-//! deterministic, and pinned per-seed by `crates/bench/tests/gauntlet.rs`):
+//! Expectations encoded by the matrix (checked by [`assert_matrix_edges`]
+//! where deterministic, and pinned per-seed by
+//! `crates/bench/tests/gauntlet.rs`):
 //!
 //! * **passive** cells are honest executions: `all_ok` everywhere and
 //!   `dropped_sends == 0` (the simulator counts undeliverable unicasts; an
-//!   honest protocol must never produce one).
+//!   honest protocol must never produce one). Under a fault plan outside
+//!   the legal envelope ([`ba_sim::FaultPlan::within_envelope`]) the
+//!   liveness claim is void, and only `consistent` and `valid` are held.
 //! * **adaptive eclipse** defeats recurring-speaker designs but bounces off
 //!   one-shot bit-specific committees — and degenerates entirely under the
 //!   static model (the `static` rows double as a legality ablation).
@@ -43,7 +46,7 @@
 
 use crate::cli::Grid;
 use crate::scenario::{AdversarySpec, InputPattern, ProtocolSpec, Scenario};
-use crate::sweep::Sweep;
+use crate::sweep::{Sweep, SweepReport};
 use ba_sim::CorruptionModel;
 
 /// One protocol under test: its spec, sizes, and resilience budget.
@@ -213,6 +216,66 @@ pub fn gauntlet_sweeps(grid: Grid, seeds: u64) -> Vec<Sweep> {
 fn head(spec: &impl std::fmt::Display) -> String {
     let name = spec.to_string();
     name.split('(').next().unwrap_or(&name).to_string()
+}
+
+/// Asserts the deterministic edges of the matrix: passive cells are
+/// correct (see the module docs for the faulted case) with no dropped or
+/// corrupt sends, eclipse cells under the static model spend no
+/// corruptions, eraser cells under the plain adaptive model perform no
+/// removals, and the `eclipse_burst` composition stays within its budget.
+///
+/// # Panics
+///
+/// On the first cell that breaks an edge, naming it.
+pub fn assert_matrix_edges(reports: &[SweepReport]) {
+    for report in reports {
+        for cell in &report.cells {
+            let label = format!("{}/{}", report.title, cell.scenario.label);
+            // Covers both `passive@` and the real-eligibility `passive_real@`
+            // rows: honest executions stay clean under either backend.
+            if cell.scenario.label.starts_with("passive") {
+                let runs = cell.runs.len();
+                if cell.scenario.fault_plan.is_none_or(|plan| plan.within_envelope()) {
+                    assert_eq!(cell.count("all_ok"), runs, "{label}: honest execution failed");
+                } else {
+                    assert_eq!(cell.count("consistent"), runs, "{label}: honest run disagreed");
+                    assert_eq!(cell.count("valid"), runs, "{label}: honest run invalid");
+                }
+                assert_eq!(
+                    cell.total("dropped_sends"),
+                    0.0,
+                    "{label}: honest execution dropped a unicast"
+                );
+                assert_eq!(cell.total("corrupt_sends"), 0.0, "{label}: phantom corrupt sends");
+            }
+            if cell.scenario.label.starts_with("adaptive_eclipse@static") {
+                assert_eq!(
+                    cell.total("corruptions"),
+                    0.0,
+                    "{label}: static model must refuse mid-run corruption"
+                );
+            }
+            if cell.scenario.label.starts_with("starve_quorum@adaptive") {
+                assert_eq!(
+                    cell.total("removals"),
+                    0.0,
+                    "{label}: adaptive model must refuse after-the-fact removal"
+                );
+            }
+            // Composition legality: the eclipse + burst wings share one
+            // budget; together they must never exceed it.
+            if cell.scenario.label.starts_with("eclipse_burst@") {
+                let f = cell.scenario.f as f64;
+                for (seed, c) in cell.samples("corruptions").iter().enumerate() {
+                    assert!(
+                        *c <= f,
+                        "{label}: composed adversary exceeded the budget at seed {seed} ({c} > {f})"
+                    );
+                }
+                assert_eq!(cell.total("removals"), 0.0, "{label}: neither wing removes");
+            }
+        }
+    }
 }
 
 fn scenario_for(

@@ -46,8 +46,9 @@
 //! Run any experiment with
 //! `cargo run -p ba-bench --release --bin <name> -- [--seeds N] [--grid
 //! full|smoke] [--threads N] [--population dense|sparse] [--format
-//! md,csv,json|all] [--out DIR]`.
-//! Criterion microbenches live under `benches/`.
+//! md,csv,json|all] [--out DIR]`. Per-layer timings (crypto operations,
+//! `F_mine`, node steps) come from the standalone `benchmark/` crate, read
+//! with `--trace 1`.
 //!
 //! ## Example
 //!

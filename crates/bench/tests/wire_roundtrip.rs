@@ -16,7 +16,9 @@ use ba_bench::{
     InputPattern, ProtocolSpec, RunRecord, Scenario,
 };
 use ba_core::cert::CertEncoding;
-use ba_sim::{CorruptionModel, DelayDist, FaultPlan, PopulationMode, TransportSpec};
+use ba_sim::{
+    CorruptionModel, DelayDist, FaultPlan, PopulationMode, TransportSpec, MAX_TRANSPORT_MS,
+};
 use proptest::prelude::*;
 
 fn arb_lambda() -> impl Strategy<Value = f64> {
@@ -86,20 +88,42 @@ fn arb_protocol() -> BoxedStrategy<ProtocolSpec> {
     .boxed()
 }
 
+/// A millisecond knob: half the draws up to the grammar's ceiling, half
+/// anywhere in `u64` (past the ceiling, almost surely).
+fn arb_ms() -> BoxedStrategy<u64> {
+    prop_oneof![0..MAX_TRANSPORT_MS + 1, any::<u64>()].boxed()
+}
+
 fn arb_transport() -> BoxedStrategy<TransportSpec> {
     let dist = prop_oneof![
         Just(DelayDist::Zero),
         (0u64..50, 0u64..50)
             .prop_map(|(lo_ms, span)| DelayDist::Uniform { lo_ms, hi_ms: lo_ms + span }),
-        any::<u64>().prop_map(|mean_ms| DelayDist::Exp { mean_ms }),
+        arb_ms().prop_map(|mean_ms| DelayDist::Exp { mean_ms }),
     ];
     prop_oneof![
         Just(TransportSpec::Lockstep),
         Just(TransportSpec::Tcp),
-        (1u64..1000, any::<u64>(), dist)
-            .prop_map(|(round_ms, gst_ms, dist)| TransportSpec::Latency { round_ms, gst_ms, dist }),
+        (1u64..1000, arb_ms(), dist).prop_map(|(round_ms, gst_ms, dist)| TransportSpec::Latency {
+            round_ms,
+            gst_ms,
+            dist
+        }),
     ]
     .boxed()
+}
+
+/// Whether the transport grammar accepts `spec`'s rendering: every
+/// millisecond knob at most [`MAX_TRANSPORT_MS`]. Past it the parser
+/// refuses, because the latency clock's arithmetic would overflow.
+fn within_ceiling(spec: &TransportSpec) -> bool {
+    let TransportSpec::Latency { round_ms, gst_ms, dist } = *spec else { return true };
+    let dist_ms = match dist {
+        DelayDist::Zero => 0,
+        DelayDist::Uniform { hi_ms, .. } => hi_ms,
+        DelayDist::Exp { mean_ms } => mean_ms,
+    };
+    [round_ms, gst_ms, dist_ms].into_iter().all(|ms| ms <= MAX_TRANSPORT_MS)
 }
 
 fn arb_faults() -> BoxedStrategy<Option<FaultPlan>> {
@@ -346,6 +370,11 @@ proptest! {
         // Ids travel as plain JSON numbers; clamp into the exact range.
         let desc = CellDescriptor { id: id % (1 << 53), sweep, seeds, scenario };
         let decoded = decode_descriptor(&encode_descriptor(&desc));
+        if !within_ceiling(&desc.scenario.transport) {
+            let refused = matches!(decoded, Err(WireError::Invalid { field: "transport", .. }));
+            prop_assert!(refused, "{decoded:?}");
+            return Ok(());
+        }
         match desc.scenario.check() {
             Ok(()) => prop_assert_eq!(decoded, Ok(desc)),
             // Well-formed but not executable: carried losslessly up to the
@@ -377,7 +406,8 @@ proptest! {
     ) {
         prop_assert_eq!(inputs.to_string().parse(), Ok(inputs));
         prop_assert_eq!(adversary.to_string().parse(), Ok(adversary));
-        prop_assert_eq!(transport.to_string().parse(), Ok(transport));
+        let parsed = transport.to_string().parse::<TransportSpec>().ok();
+        prop_assert_eq!(parsed, within_ceiling(&transport).then_some(transport));
         // The lossless protocol rendering is the alternate one; the report
         // label drops exactly `SubqHalf::max_iters` and nothing else.
         prop_assert_eq!(format!("{protocol:#}").parse(), Ok(protocol.clone()));
@@ -393,6 +423,10 @@ proptest! {
         for axis in AXES {
             let mut target = onto.clone();
             match rendered(axis, &from) {
+                // Past the millisecond ceiling the transport row refuses.
+                Some(value) if axis.key == "transport" && !within_ceiling(&from.transport) => {
+                    prop_assert!((axis.set)(&mut target, &value).is_err());
+                }
                 Some(value) => {
                     prop_assert_eq!((axis.set)(&mut target, &value), Ok(()), "{}", axis.key);
                     prop_assert_eq!(rendered(axis, &target), Some(value), "{}", axis.key);

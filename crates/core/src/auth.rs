@@ -18,7 +18,7 @@ use std::sync::{Arc, Mutex};
 use ba_crypto::forward_secure::{
     ForwardSecureKey, ForwardSecurePublicKey, ForwardSecureSignature, SignSlotError,
 };
-use ba_fmine::{AggSig, Eligibility, Keychain, MineTag, Sig, Ticket, SIG_BITS, TICKET_BITS};
+use ba_fmine::{AggSig, Eligibility, Keychain, MineTag, Sig, Ticket, SIG_BITS};
 use ba_sim::NodeId;
 
 use crate::cert::{AggregateQuorum, CertEncoding, VoteRef};
@@ -377,21 +377,6 @@ impl Auth {
             Auth::Mined { elig, .. } | Auth::FsMined { elig, .. } => Some(elig),
         }
     }
-
-    /// Whether this regime subsamples speakers (mined modes).
-    pub fn is_subsampled(&self) -> bool {
-        !matches!(self, Auth::Signed { .. })
-    }
-
-    /// Nominal evidence size for complexity estimates.
-    pub fn nominal_evidence_bits(&self) -> usize {
-        match self {
-            Auth::Signed { .. } => SIG_BITS,
-            Auth::Mined { bit_specific: true, .. } => TICKET_BITS,
-            Auth::Mined { bit_specific: false, .. } => TICKET_BITS + SIG_BITS,
-            Auth::FsMined { .. } => TICKET_BITS + 64 + SIG_BITS + 256 + 256 * 8,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -508,12 +493,5 @@ mod tests {
         let both = mined_auth(false).attest(NodeId(0), &vote_tag(0, true)).unwrap();
         assert!(sig.size_bits() < ticket.size_bits());
         assert!(ticket.size_bits() < both.size_bits());
-    }
-
-    #[test]
-    fn subsampled_flag() {
-        assert!(!signed_auth().is_subsampled());
-        assert!(mined_auth(true).is_subsampled());
-        assert!(fs_auth(true).is_subsampled());
     }
 }

@@ -56,7 +56,6 @@ pub mod dolev_strong;
 pub mod epoch;
 pub mod iter;
 mod kernel;
-pub mod ledger;
 pub mod momose_ren;
 pub mod runnable;
 

@@ -1,99 +1,10 @@
-//! Commitment schemes (Appendix D.2 of the paper).
+//! Merkle-tree vector commitments.
 //!
-//! Two flavours:
-//!
-//! * [`HashCommitment`] — `C = SHA256(tag || v || ρ)`. Computationally
-//!   binding and hiding; cheap, used wherever the paper only needs a
-//!   commitment in the random-oracle sense.
-//! * [`ElGamalCommitment`] — `C = (g^ρ, g^v · pk_c^ρ)` under a CRS key
-//!   `pk_c`. **Perfectly binding** (an ElGamal ciphertext determines its
-//!   plaintext) and computationally hiding under DDH — exactly the property
-//!   profile Appendix D.2 demands for committing to nodes' PRF keys.
+//! Appendix D.2's commitment to a node's VRF key is the published
+//! `pk = g^sk` itself (see [`crate::vrf`]); no separate commitment scheme
+//! is instantiated.
 
-use crate::group::{Element, Group, Scalar};
 use crate::sha256::Sha256;
-
-/// A 32-byte hash commitment.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct HashCommitment(pub [u8; 32]);
-
-impl HashCommitment {
-    /// Commits to `value` with blinding randomness `rho`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use ba_crypto::commit::HashCommitment;
-    ///
-    /// let c = HashCommitment::commit(b"bid: 42", b"blinding-randomness");
-    /// assert!(c.verify(b"bid: 42", b"blinding-randomness"));
-    /// assert!(!c.verify(b"bid: 43", b"blinding-randomness"));
-    /// ```
-    pub fn commit(value: &[u8], rho: &[u8]) -> HashCommitment {
-        HashCommitment(Sha256::digest_parts(&[
-            b"ba-crypto/hash-commit/v1",
-            &(value.len() as u64).to_be_bytes(),
-            value,
-            rho,
-        ]))
-    }
-
-    /// Verifies an opening `(value, rho)`.
-    pub fn verify(&self, value: &[u8], rho: &[u8]) -> bool {
-        HashCommitment::commit(value, rho) == *self
-    }
-}
-
-/// The CRS for ElGamal commitments: a commitment public key with unknown
-/// discrete log (derived by hash-to-group, so nobody knows `log_g(pk_c)`).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CommitmentCrs {
-    /// The commitment key `pk_c`.
-    pub key: Element,
-}
-
-impl CommitmentCrs {
-    /// Derives the CRS deterministically from a setup transcript label.
-    ///
-    /// Using hash-to-group means the discrete log of `key` is unknown to
-    /// everyone — the "trusted setup" is a public coin.
-    pub fn from_label(label: &[u8]) -> CommitmentCrs {
-        let g = Group::standard();
-        CommitmentCrs { key: g.hash_to_group(b"ba-crypto/elgamal-crs/v1", label) }
-    }
-}
-
-/// A perfectly binding ElGamal commitment `(c1, c2) = (g^ρ, g^v · pk_c^ρ)`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ElGamalCommitment {
-    /// `c1 = g^ρ`.
-    pub c1: Element,
-    /// `c2 = g^v * pk_c^ρ`.
-    pub c2: Element,
-}
-
-impl ElGamalCommitment {
-    /// Commits to the scalar `v` with blinding scalar `rho` under `crs`.
-    pub fn commit(crs: &CommitmentCrs, v: &Scalar, rho: &Scalar) -> ElGamalCommitment {
-        let g = Group::standard();
-        let c1 = g.pow_g(rho);
-        let c2 = g.mul(&g.pow_g(v), &g.pow(&crs.key, rho));
-        ElGamalCommitment { c1, c2 }
-    }
-
-    /// Verifies an opening `(v, rho)`.
-    pub fn verify(&self, crs: &CommitmentCrs, v: &Scalar, rho: &Scalar) -> bool {
-        *self == ElGamalCommitment::commit(crs, v, rho)
-    }
-
-    /// Canonical 64-byte encoding.
-    pub fn to_bytes(&self) -> [u8; 64] {
-        let mut out = [0u8; 64];
-        out[..32].copy_from_slice(&self.c1.to_bytes());
-        out[32..].copy_from_slice(&self.c2.to_bytes());
-        out
-    }
-}
 
 /// A compact Merkle tree over 32-byte leaves (SHA-256, second-preimage
 /// hardened with distinct leaf/node tags).
@@ -194,61 +105,9 @@ impl MerkleTree {
     }
 }
 
-/// Helper: derives a deterministic blinding scalar from a seed (used by the
-/// PKI setup when committing to node keys).
-pub fn blinding_scalar(seed: &[u8], label: &[u8]) -> Scalar {
-    let g = Group::standard();
-    g.scalar_from_digest(&Sha256::digest_parts(&[b"ba-crypto/blinding/v1", seed, label]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hash_commit_binding_and_hiding_shape() {
-        let c = HashCommitment::commit(b"v", b"r");
-        assert!(c.verify(b"v", b"r"));
-        assert!(!c.verify(b"v", b"r2"));
-        assert!(!c.verify(b"w", b"r"));
-        // Length-prefixing prevents concatenation ambiguity.
-        let a = HashCommitment::commit(b"ab", b"c");
-        let b = HashCommitment::commit(b"a", b"bc");
-        assert_ne!(a, b);
-    }
-
-    #[test]
-    fn elgamal_commit_roundtrip() {
-        let g = Group::standard();
-        let crs = CommitmentCrs::from_label(b"test-crs");
-        let v = g.scalar_from_bytes(b"value");
-        let rho = g.scalar_from_bytes(b"blind");
-        let c = ElGamalCommitment::commit(&crs, &v, &rho);
-        assert!(c.verify(&crs, &v, &rho));
-        assert!(!c.verify(&crs, &g.scalar_from_bytes(b"other"), &rho));
-        assert!(!c.verify(&crs, &v, &g.scalar_from_bytes(b"other"))); // wrong opening
-    }
-
-    #[test]
-    fn elgamal_perfectly_binding_structure() {
-        // Perfect binding: c1 = g^rho determines rho (information
-        // theoretically), and then c2/pk^rho determines g^v. We check the
-        // structural consequence: two different values cannot share a
-        // commitment under the SAME rho, and differing rho changes c1.
-        let g = Group::standard();
-        let crs = CommitmentCrs::from_label(b"binding");
-        let rho = g.scalar_from_bytes(b"rho");
-        let c_a = ElGamalCommitment::commit(&crs, &g.scalar_from_u64(1), &rho);
-        let c_b = ElGamalCommitment::commit(&crs, &g.scalar_from_u64(2), &rho);
-        assert_eq!(c_a.c1, c_b.c1);
-        assert_ne!(c_a.c2, c_b.c2);
-    }
-
-    #[test]
-    fn crs_is_deterministic_per_label() {
-        assert_eq!(CommitmentCrs::from_label(b"x"), CommitmentCrs::from_label(b"x"));
-        assert_ne!(CommitmentCrs::from_label(b"x"), CommitmentCrs::from_label(b"y"));
-    }
 
     #[test]
     fn merkle_single_leaf() {

@@ -18,8 +18,7 @@
 //! * [`dleq`] — Chaum–Pedersen DLEQ NIZK (the Appendix D NIZK);
 //! * [`vrf`] — the DDH-based adaptively-secure VRF used for **bit-specific
 //!   eligibility election** (the paper's key insight, §3.2);
-//! * [`commit`] — hash and perfectly-binding ElGamal commitments, plus a
-//!   Merkle tree;
+//! * [`commit`] — a Merkle tree (vector commitment);
 //! * [`forward_secure`] — per-slot "ephemeral" keys for the memory-erasure
 //!   ablation (Chen–Micali strawman).
 //!

@@ -1,7 +1,7 @@
 //! Property-based tests for the cryptographic substrate.
 
 use ba_crypto::bigint::{ModCtx, U256, U512};
-use ba_crypto::commit::{HashCommitment, MerkleTree};
+use ba_crypto::commit::MerkleTree;
 use ba_crypto::group::Group;
 use ba_crypto::schnorr::SigningKey;
 use ba_crypto::vrf::VrfSecretKey;
@@ -184,22 +184,6 @@ proptest! {
         let out2 = key.evaluate(&msg);
         prop_assert_eq!(out1.rho(), out2.rho());
         prop_assert!(key.public_key().verify(&msg, &out1));
-    }
-
-    #[test]
-    fn hash_commitment_opens_only_with_exact_inputs(
-        value in any::<Vec<u8>>(),
-        rho in any::<Vec<u8>>(),
-        other in any::<Vec<u8>>(),
-    ) {
-        let c = HashCommitment::commit(&value, &rho);
-        prop_assert!(c.verify(&value, &rho));
-        if other != value {
-            prop_assert!(!c.verify(&other, &rho));
-        }
-        if other != rho {
-            prop_assert!(!c.verify(&value, &other));
-        }
     }
 
     #[test]

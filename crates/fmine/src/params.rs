@@ -47,17 +47,6 @@ impl MineParams {
     pub fn threshold(&self, tag: &MineTag) -> u64 {
         probability_to_threshold(self.probability(tag))
     }
-
-    /// Quorum size used by the subsampled protocols (`λ/2` for honest
-    /// majority, Appendix C.2).
-    pub fn half_quorum(&self) -> usize {
-        (self.lambda / 2.0).ceil() as usize
-    }
-
-    /// Quorum size for the 1/3-resilience §3.2 protocol (`2λ/3`).
-    pub fn two_thirds_quorum(&self) -> usize {
-        (2.0 * self.lambda / 3.0).ceil() as usize
-    }
 }
 
 /// Converts a probability in `[0, 1]` to a `u64` comparison threshold.
@@ -102,16 +91,6 @@ mod tests {
         let half = probability_to_threshold(0.5);
         let expected = u64::MAX / 2;
         assert!(half.abs_diff(expected) < 1 << 12);
-    }
-
-    #[test]
-    fn quorums() {
-        let p = MineParams::new(300, 30.0);
-        assert_eq!(p.half_quorum(), 15);
-        assert_eq!(p.two_thirds_quorum(), 20);
-        let odd = MineParams::new(300, 25.0);
-        assert_eq!(odd.half_quorum(), 13);
-        assert_eq!(odd.two_thirds_quorum(), 17);
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub use transport::fault::{
 };
 pub use transport::{
     BaseTransport, DelayDist, Transport, TransportError, TransportSpec, TransportStats,
-    DEFAULT_ROUND_MS,
+    DEFAULT_ROUND_MS, MAX_TRANSPORT_MS,
 };
 pub use verdict::{evaluate, Problem, Verdict};
 

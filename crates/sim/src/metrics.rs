@@ -140,42 +140,9 @@ impl Metrics {
         self.honest_multicasts * n as u64 + self.honest_unicasts
     }
 
-    /// Classical pairwise bit count for an `n`-node run.
-    pub fn classical_bits(&self, n: usize) -> u64 {
-        self.honest_multicast_bits * n as u64 + self.honest_unicast_bits
-    }
-
     /// Total honest sends (multicast ops + unicasts).
     pub fn honest_sends(&self) -> u64 {
         self.honest_multicasts + self.honest_unicasts
-    }
-
-    /// Merges another run's counters into this one (for aggregating sweeps).
-    pub fn merge(&mut self, other: &Metrics) {
-        self.honest_multicasts += other.honest_multicasts;
-        self.honest_multicast_bits += other.honest_multicast_bits;
-        self.honest_unicasts += other.honest_unicasts;
-        self.honest_unicast_bits += other.honest_unicast_bits;
-        self.honest_cert_bits += other.honest_cert_bits;
-        self.corrupt_sends += other.corrupt_sends;
-        self.corrupt_bits += other.corrupt_bits;
-        self.injected_sends += other.injected_sends;
-        self.rounds += other.rounds;
-        self.corruptions += other.corruptions;
-        self.removals += other.removals;
-        self.dropped_sends += other.dropped_sends;
-        // Gauges aggregate as high-water marks, not sums.
-        self.peak_live_nodes = self.peak_live_nodes.max(other.peak_live_nodes);
-        self.peak_resident_msgs = self.peak_resident_msgs.max(other.peak_resident_msgs);
-        // Percentiles don't compose; an aggregate keeps the first run's
-        // stats (sweep-level aggregation percentiles per-run observables
-        // instead of merging Metrics).
-        if self.latency.is_none() {
-            self.latency = other.latency.clone();
-        }
-        if self.faults.is_none() {
-            self.faults = other.faults;
-        }
     }
 }
 
@@ -193,27 +160,7 @@ mod tests {
             ..Metrics::default()
         };
         assert_eq!(m.classical_messages(10), 35);
-        assert_eq!(m.classical_bits(10), 3050);
         assert_eq!(m.honest_sends(), 8);
-    }
-
-    #[test]
-    fn merge_adds_fields() {
-        let mut a = Metrics { honest_multicasts: 1, rounds: 2, ..Metrics::default() };
-        let b = Metrics { honest_multicasts: 4, removals: 7, ..Metrics::default() };
-        a.merge(&b);
-        assert_eq!(a.honest_multicasts, 5);
-        assert_eq!(a.rounds, 2);
-        assert_eq!(a.removals, 7);
-    }
-
-    #[test]
-    fn merge_takes_max_of_gauges() {
-        let mut a = Metrics { peak_live_nodes: 10, peak_resident_msgs: 3, ..Metrics::default() };
-        let b = Metrics { peak_live_nodes: 4, peak_resident_msgs: 9, ..Metrics::default() };
-        a.merge(&b);
-        assert_eq!(a.peak_live_nodes, 10);
-        assert_eq!(a.peak_resident_msgs, 9);
     }
 
     #[test]

@@ -16,22 +16,20 @@
 //!
 //! # The legal envelope
 //!
-//! The wrapper only exercises freedoms the model already grants the
-//! network adversary:
+//! [`FaultPlan::within_envelope`] is the one place that decides whether a
+//! plan stays inside the synchronous model (`docs/FAULTS.md`):
 //!
-//! * **Per-inbox order** is never specified by the synchronous model —
-//!   only *which round* a message arrives in. The adversarial scheduler
-//!   re-orders each submitted batch (adversary traffic first, honest
-//!   traffic latest-send-first) without moving anything across a round
-//!   boundary, so it stays inside the model.
-//! * **Reordering** defers a copy by at most `budget` rounds — the
-//!   partial-synchrony freedom the latency backend prices in clock time,
-//!   here exercised adversarially in round units on any backend.
-//! * **Drops, duplication, partitions** step *outside* the honest-network
-//!   envelope on purpose: they are the chaos under which the safety
-//!   observables (`consistent`, `valid`) must not move even when
-//!   liveness legitimately degrades. A partition holds cross-cut traffic
-//!   until its heal round (GST-style recovery), never forging or
+//! * **Inside:** the adversarial scheduler and duplication. The model never
+//!   specifies *per-inbox order*, only which round a message arrives in;
+//!   the scheduler re-orders each submitted batch (adversary traffic
+//!   first, honest traffic latest-send-first) without moving anything
+//!   across a round boundary. Tallies key by distinct sender, so a
+//!   duplicate adds no quorum weight.
+//! * **Outside:** drops, reordering (a copy deferred by up to `budget`
+//!   rounds, the partial-synchrony freedom the latency backend prices in
+//!   clock time) and partitions. They void the synchrony assumption, so
+//!   liveness may legitimately degrade. A partition holds cross-cut
+//!   traffic until its heal round (GST-style recovery), never forging or
 //!   corrupting payloads — channels stay authenticated.
 //!
 //! # Copy semantics
@@ -152,6 +150,15 @@ impl FaultPlan {
             && self.reorder.is_none()
             && self.partition.is_none()
             && self.scheduler == Scheduler::Honest
+    }
+
+    /// Whether a model-legal network adversary could have produced every
+    /// fault in the plan — no drop, no reorder, no partition (see the
+    /// [module docs](self)). Inside the envelope the paper's claims apply
+    /// in full; outside it the synchrony assumption fails, so liveness may
+    /// degrade and safety is measured rather than promised.
+    pub fn within_envelope(&self) -> bool {
+        self.drop.is_none() && self.reorder.is_none() && self.partition.is_none()
     }
 }
 
@@ -578,6 +585,23 @@ mod tests {
         }
         assert!("none".parse::<FaultPlan>().unwrap().is_empty());
         assert!(!"drop:p=0.25".parse::<FaultPlan>().unwrap().is_empty());
+    }
+
+    #[test]
+    fn legal_envelope_verdicts_of_the_chaos_matrix_plans() {
+        for (text, within) in [
+            ("none", true),
+            ("sched=adversarial", true),
+            ("dup:p=0.2", true),
+            ("drop:p=0.1", false),
+            ("drop:p=0.25", false),
+            ("reorder:p=0.2:budget=2", false),
+            ("partition:1..3=8", false),
+            ("drop:p=0.1,dup:p=0.1,reorder:p=0.1:budget=2,sched=adversarial", false),
+        ] {
+            let plan: FaultPlan = text.parse().expect(text);
+            assert_eq!(plan.within_envelope(), within, "{text}");
+        }
     }
 
     #[test]

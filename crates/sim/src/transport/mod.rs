@@ -135,6 +135,24 @@ impl TryFrom<TransportSpec> for BaseTransport {
 /// without an explicit value.
 pub const DEFAULT_ROUND_MS: u64 = 10;
 
+/// The largest millisecond value the transport grammars accept, for
+/// `round_ms`, `gst_ms` and every [`DelayDist`] parameter (2³² ms, about
+/// 50 days). Past it the latency clock's arithmetic can overflow: the
+/// exponential sampler's `u128` product, the uniform width `hi − lo + 1`,
+/// and `(r + 1) · round_ms` / `depart + delay` in flight scheduling. At it,
+/// a run still has 2³² rounds of headroom.
+pub const MAX_TRANSPORT_MS: u64 = 1 << 32;
+
+/// Parses the millisecond value of `key`, refusing one past
+/// [`MAX_TRANSPORT_MS`].
+fn parse_ms(key: &str, val: &str) -> Result<u64, String> {
+    let ms: u64 = val.parse().map_err(|_| format!("bad {key} '{val}' (want integer ms)"))?;
+    if ms > MAX_TRANSPORT_MS {
+        return Err(format!("{key} {ms} exceeds the {MAX_TRANSPORT_MS} ms ceiling"));
+    }
+    Ok(ms)
+}
+
 impl TransportSpec {
     /// A latency spec with the default round duration, no GST, zero delay —
     /// the configuration provably equivalent to lockstep.
@@ -243,16 +261,8 @@ impl std::str::FromStr for TransportSpec {
                         .split_once('=')
                         .ok_or_else(|| format!("latency parameter '{part}' is not key=value"))?;
                     match key {
-                        "round_ms" => {
-                            round_ms = val
-                                .parse()
-                                .map_err(|_| format!("bad round_ms '{val}' (want integer ms)"))?
-                        }
-                        "gst_ms" => {
-                            gst_ms = val
-                                .parse()
-                                .map_err(|_| format!("bad gst_ms '{val}' (want integer ms)"))?
-                        }
+                        "round_ms" => round_ms = parse_ms(key, val)?,
+                        "gst_ms" => gst_ms = parse_ms(key, val)?,
                         "dist" => dist = val.parse()?,
                         other => return Err(format!("unknown latency parameter '{other}'")),
                     }
@@ -330,15 +340,15 @@ impl std::str::FromStr for DelayDist {
             let (lo, hi) = range
                 .split_once("..")
                 .ok_or_else(|| format!("bad uniform range '{range}' (want LO..HI)"))?;
-            let lo_ms: u64 = lo.parse().map_err(|_| format!("bad uniform lower bound '{lo}'"))?;
-            let hi_ms: u64 = hi.parse().map_err(|_| format!("bad uniform upper bound '{hi}'"))?;
+            let lo_ms = parse_ms("uniform lower bound", lo)?;
+            let hi_ms = parse_ms("uniform upper bound", hi)?;
             if hi_ms < lo_ms {
                 return Err(format!("uniform range {lo_ms}..{hi_ms} is empty"));
             }
             return Ok(DelayDist::Uniform { lo_ms, hi_ms });
         }
         if let Some(mean) = s.strip_prefix("exp:") {
-            let mean_ms: u64 = mean.parse().map_err(|_| format!("bad exp mean '{mean}'"))?;
+            let mean_ms = parse_ms("exp mean", mean)?;
             return Ok(DelayDist::Exp { mean_ms });
         }
         Err(format!("unknown delay distribution '{s}' (want zero|uniform:LO..HI|exp:MEAN)"))
@@ -351,8 +361,8 @@ impl DelayDist {
         match *self {
             DelayDist::Zero => 0.0,
             DelayDist::Uniform { lo_ms, hi_ms } => {
-                // Width fits u64 (hi >= lo checked at parse/construction);
-                // modulo bias is irrelevant at simulation widths.
+                // Width fits u64 (hi >= lo and the ms ceiling are checked
+                // at parse); modulo bias is irrelevant at simulation widths.
                 (lo_ms + bits % (hi_ms - lo_ms + 1)) as f64
             }
             DelayDist::Exp { mean_ms } => {
@@ -605,6 +615,35 @@ mod tests {
         assert!("faulty:drop:p=0.5".parse::<TransportSpec>().is_err());
         assert!("faulty:warp:p=0.5;lockstep".parse::<TransportSpec>().is_err());
         assert!("faulty:none;faulty:none;lockstep".parse::<TransportSpec>().is_err());
+    }
+
+    #[test]
+    fn millisecond_knobs_are_bounded_by_the_ceiling() {
+        let max = MAX_TRANSPORT_MS;
+        // Unrefused, the first four would overflow the latency clock; the
+        // rest sit one past the ceiling.
+        for (spec, key) in [
+            ("latency:dist=exp:576460752303423488".to_string(), "exp mean"),
+            ("latency:dist=uniform:0..18446744073709551615".into(), "uniform upper bound"),
+            (format!("latency:round_ms={}", u64::MAX), "round_ms"),
+            (format!("latency:gst_ms={}", u64::MAX), "gst_ms"),
+            (format!("latency:dist=exp:{}", max + 1), "exp mean"),
+            (format!("latency:dist=uniform:{}..{}", max + 1, max + 1), "uniform lower bound"),
+            (format!("faulty:none;latency:round_ms={}", max + 1), "round_ms"),
+        ] {
+            let err = spec.parse::<TransportSpec>().expect_err(&spec);
+            assert!(err.starts_with(key) && err.contains("ceiling"), "{spec}: {err}");
+        }
+        let at_ceiling = format!("latency:round_ms={max},gst_ms={max},dist=exp:{max}");
+        let spec: TransportSpec = at_ceiling.parse().expect("the ceiling itself parses");
+        assert_eq!(spec.to_string(), at_ceiling);
+        let uniform = DelayDist::Uniform { lo_ms: 0, hi_ms: max };
+        assert_eq!(format!("uniform:0..{max}").parse::<DelayDist>(), Ok(uniform));
+        // The extremes the ceiling admits stay in range when sampled.
+        for msg in 0..64 {
+            assert!(link_delay_ms(7, msg, 1, &uniform) <= max as f64);
+            assert!(link_delay_ms(7, msg, 1, &DelayDist::Exp { mean_ms: max }) < 64.0 * max as f64);
+        }
     }
 
     #[test]

@@ -52,27 +52,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn merge_is_commutative(a in arb_metrics(), b in arb_metrics()) {
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        prop_assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn merge_is_associative(a in arb_metrics(), b in arb_metrics(), c in arb_metrics()) {
-        let mut left = a.clone();
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut right = a.clone();
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    #[test]
     fn classical_messages_scale_linearly_in_n(m in arb_metrics(), n in 1usize..100) {
         let expected = m.honest_multicasts * n as u64 + m.honest_unicasts;
         prop_assert_eq!(m.classical_messages(n), expected);

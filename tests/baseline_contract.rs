@@ -4,18 +4,21 @@
 //! moves one honest bit, round, corruption or verdict in any family fails
 //! `cargo test -q` at the root, not only the CI smoke-diff. The same cells
 //! through the worker wire (descriptor codec, worker loop, reply decoder)
-//! must match it too, so the codec is guarded where the engines are.
+//! must match it too, so the codec is guarded where the engines are. The
+//! matrix-edge check `e11_gauntlet` asserts runs here too, clean and under
+//! a faulted replay.
 
+use ba_bench::gauntlet::assert_matrix_edges;
 use ba_bench::report::to_json;
 use ba_bench::wire::{decode_reply, encode_descriptor, worker_loop, CellDescriptor, WorkerReply};
 use ba_bench::{diff_reports, gauntlet_sweeps, CellReport, Grid, Sweep, SweepReport, Tolerance};
 
-/// The smoke gauntlet with `population` set on every cell by the by-key
-/// override `Cli::run` applies for `--population`.
-fn smoke_gauntlet(population: &str) -> Vec<Sweep> {
+/// The smoke gauntlet with axis `key` set to `value` on every cell by the
+/// by-key override `Cli::run` applies for `--<key>`.
+fn smoke_gauntlet(key: &str, value: &str) -> Vec<Sweep> {
     let mut sweeps = gauntlet_sweeps(Grid::Smoke, 2);
     for scenario in sweeps.iter_mut().flat_map(|sweep| &mut sweep.scenarios) {
-        scenario.set_axis("population", population).expect("a population mode");
+        scenario.set_axis(key, value).expect("a value in the axis grammar");
     }
     sweeps
 }
@@ -46,7 +49,9 @@ fn run_in_process(sweeps: &[Sweep]) -> Vec<SweepReport> {
 /// Exact, with no observable ignored.
 #[test]
 fn e11_smoke_gauntlet_matches_the_committed_baseline() {
-    assert_matches_baseline("dense", &run_in_process(&smoke_gauntlet("dense")), &[], 6000);
+    let reports = run_in_process(&smoke_gauntlet("population", "dense"));
+    assert_matrix_edges(&reports);
+    assert_matches_baseline("dense", &reports, &[], 6000);
 }
 
 /// The one-engine equivalence: with every cell asking for a lazy live set
@@ -54,7 +59,7 @@ fn e11_smoke_gauntlet_matches_the_committed_baseline() {
 /// own memory gauges may move.
 #[test]
 fn e11_smoke_gauntlet_over_a_lazy_live_set_matches_modulo_gauges() {
-    let reports = run_in_process(&smoke_gauntlet("sparse"));
+    let reports = run_in_process(&smoke_gauntlet("population", "sparse"));
     assert_matches_baseline("sparse", &reports, &["peak_*"], 5500);
 }
 
@@ -64,7 +69,7 @@ fn e11_smoke_gauntlet_over_a_lazy_live_set_matches_modulo_gauges() {
 /// the pipes.
 #[test]
 fn e11_smoke_gauntlet_over_the_worker_wire_matches_the_committed_baseline() {
-    let sweeps = smoke_gauntlet("dense");
+    let sweeps = smoke_gauntlet("population", "dense");
     let cells = sweeps.iter().flat_map(|sweep| sweep.scenarios.iter().map(move |sc| (sweep, sc)));
     let input: String = cells
         .enumerate()
@@ -100,4 +105,21 @@ fn e11_smoke_gauntlet_over_the_worker_wire_matches_the_committed_baseline() {
         .collect();
     assert!(replies.next().is_none(), "more replies than cells");
     assert_matches_baseline("worker-wire", &reports, &[], 6000);
+}
+
+/// CI's faulted replay: under drops (outside the legal envelope) the smoke
+/// gauntlet replays byte for byte and keeps its matrix edges, passive rows
+/// held to agreement and validity only. `mr/half`'s honest row is the
+/// pinned stall that makes that scoping necessary: both seeds stay
+/// consistent and valid but run out of views without terminating.
+#[test]
+fn e11_smoke_gauntlet_under_drops_replays_and_keeps_its_edges() {
+    let run = || run_in_process(&smoke_gauntlet("faults", "drop:p=0.1,sched=adversarial"));
+    let reports = run();
+    assert_matrix_edges(&reports);
+    assert_eq!(to_json("e11_gauntlet", &reports), to_json("e11_gauntlet", &run()));
+
+    let mr = reports.iter().find(|r| r.title == "mr/half").expect("an mr/half sweep");
+    let passive = mr.cells.iter().find(|c| c.scenario.label.starts_with("passive@"));
+    assert_eq!(passive.expect("a passive row").count("all_ok"), 0, "the pinned stall moved");
 }
