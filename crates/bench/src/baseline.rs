@@ -182,16 +182,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
                 *pos += 1;
             }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
-            }
             Some(_) => {
-                // Multi-byte UTF-8: copy the full scalar.
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let ch = s.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // The plain run up to the next quote or backslash, validated
+                // and copied once: both are ASCII, so the run ends on a
+                // character boundary.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |k| *pos + k);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| "invalid utf-8")?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -494,8 +495,8 @@ fn diff_cell(report: &mut DiffReport, path: &str, base: &Json, cand: &Json, tol:
             }
         }
     }
-    // A quarantine record on either side is structural: a distributed run
-    // that failed to complete a cell must never silently pass a diff.
+    // A quarantine record on either side is structural: a run that failed
+    // to complete a cell must never silently pass a diff.
     match (base.get("error").is_some(), cand.get("error").is_some()) {
         (false, true) => report.push(DriftKind::Structural, path, "cell quarantined in candidate"),
         (true, false) => report.push(DriftKind::Structural, path, "cell quarantined in baseline"),

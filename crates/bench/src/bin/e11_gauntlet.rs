@@ -23,8 +23,9 @@ fn table(cells: &[CellReport]) {
     ]);
     for cell in cells {
         if let Some(err) = &cell.error {
-            // A quarantined cell (distributed runs only) is surfaced as a
-            // row, never silently dropped from the table.
+            // A quarantined cell (a structured transport failure caught
+            // by `sweep::catch_transport`) is surfaced as a row, never
+            // silently dropped from the table.
             let mut cols = vec![cell.scenario.label.clone(), "QUARANTINED".to_string()];
             cols.resize(7, "-".to_string());
             cols.push(format!("{} failed attempt(s)", err.attempts));

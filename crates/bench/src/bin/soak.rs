@@ -9,10 +9,9 @@
 //! run bounded by `--max-cells`).
 //!
 //! Each line is the schema-versioned **cell-stream** record
-//! (`ba-bench/cell-stream/v1`) — the same wire unit the distributed sweep
-//! engine's workers emit over their stdout pipes (docs/DISTRIBUTED.md), so
-//! soak output and distributed-worker output are interchangeable inputs
-//! for downstream tooling.
+//! (`ba-bench/cell-stream/v1`) — the same line `wire::worker_loop` replies
+//! with (docs/WIRE.md), so soak output and worker-loop output are
+//! interchangeable inputs for downstream tooling.
 //!
 //! ```text
 //! soak [--duration SECS] [--max-cells N] [--seeds N] [--threads N]

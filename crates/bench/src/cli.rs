@@ -38,15 +38,6 @@
 //!   time, and per-link delay distribution (`zero`, `uniform:LO..HI`,
 //!   `exp:MEAN`); imply `--transport latency` when it is not given, and
 //!   refuse to combine with an explicit non-latency `--transport`;
-//! * `--workers N` — distribute the grid's cells across `N` worker
-//!   *subprocesses* instead of in-process threads (crash-recovering; see
-//!   docs/DISTRIBUTED.md). Outputs are byte-identical to the in-process
-//!   path at every worker count;
-//! * `--worker-cmd CMD` — the worker command line (default: this binary
-//!   re-invoked with `--worker`; `ba-bench worker` also speaks the
-//!   protocol);
-//! * `--worker` — run *as* a wire-protocol worker on stdin/stdout instead
-//!   of an experiment (what `--workers` spawns);
 //! * `--format md[,csv][,json]|all` — output formats (default `md`);
 //! * `--out DIR` — where `BENCH_<experiment>.{json,csv}` are written.
 
@@ -55,11 +46,9 @@ use std::time::Instant;
 
 use ba_sim::{DelayDist, TransportSpec};
 
-use crate::dist::{self, DistConfig};
 use crate::report::{quarantine_summary, to_csv, to_json};
 use crate::scenario::{Scenario, AXES};
 use crate::sweep::{default_threads, Sweep, SweepReport};
-use crate::wire::{FailMode, FailPlan};
 
 /// Grid size selector.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -93,19 +82,6 @@ pub struct Cli {
     pub gst: Option<u64>,
     /// `--delay-dist` shorthand: latency-transport delay distribution.
     pub delay_dist: Option<DelayDist>,
-    /// `--workers`: distribute cells across this many worker subprocesses
-    /// (`None` = in-process execution on [`Cli::threads`]).
-    pub workers: Option<usize>,
-    /// `--worker-cmd`: the worker command line (`None` = this binary with
-    /// `--worker`).
-    pub worker_cmd: Option<Vec<String>>,
-    /// `--worker`: serve the wire protocol instead of running sweeps
-    /// ([`Cli::parse`] acts on this before returning).
-    pub worker_mode: bool,
-    /// `--worker-fail-after`: fault-injection hook — die mid-cell after
-    /// completing this many cells (workers only; used by tests and the CI
-    /// kill-a-worker step).
-    pub worker_fail: Option<FailPlan>,
     /// Emit the experiment's markdown tables on stdout.
     emit_md: bool,
     /// Emit `BENCH_<experiment>.csv`.
@@ -117,15 +93,9 @@ pub struct Cli {
 }
 
 impl Cli {
-    /// Parses `std::env::args` (exits on `--help` or bad flags). Under
-    /// `--worker` this never returns: the process serves the distributed
-    /// wire protocol on stdin/stdout and exits with the worker's status.
+    /// Parses `std::env::args` (exits on `--help` or bad flags).
     pub fn parse(experiment: &'static str) -> Cli {
-        let cli = Cli::parse_from(experiment, std::env::args().skip(1));
-        if cli.worker_mode {
-            std::process::exit(crate::wire::worker_main(cli.worker_fail));
-        }
-        cli
+        Cli::parse_from(experiment, std::env::args().skip(1))
     }
 
     /// Parses an explicit argument list (testing hook).
@@ -139,10 +109,6 @@ impl Cli {
             round_ms: None,
             gst: None,
             delay_dist: None,
-            workers: None,
-            worker_cmd: None,
-            worker_mode: false,
-            worker_fail: None,
             emit_md: true,
             emit_csv: false,
             emit_json: false,
@@ -188,33 +154,6 @@ impl Cli {
                     let raw = value("--delay-dist");
                     cli.delay_dist = Some(raw.parse().unwrap_or_else(|e: String| die(&e)));
                 }
-                "--workers" => {
-                    let w: usize = value("--workers")
-                        .parse()
-                        .unwrap_or_else(|_| die("--workers: not a number"));
-                    cli.workers = Some(w.max(1));
-                }
-                "--worker-cmd" => {
-                    let cmd = dist::split_command(&value("--worker-cmd"));
-                    if cmd.is_empty() {
-                        die("--worker-cmd: empty command");
-                    }
-                    cli.worker_cmd = Some(cmd);
-                }
-                "--worker" => cli.worker_mode = true,
-                "--worker-fail-after" => {
-                    let after: u64 = value("--worker-fail-after")
-                        .parse()
-                        .unwrap_or_else(|_| die("--worker-fail-after: not a number"));
-                    cli.worker_fail = Some(FailPlan::with_after(cli.worker_fail, after));
-                }
-                "--worker-fail-mode" => {
-                    let raw = value("--worker-fail-mode");
-                    let mode = FailMode::parse(&raw).unwrap_or_else(|| {
-                        die(&format!("--worker-fail-mode: unknown mode {raw:?}"))
-                    });
-                    cli.worker_fail = Some(FailPlan::with_mode(cli.worker_fail, mode));
-                }
                 "--format" => {
                     cli.emit_md = false;
                     cli.emit_csv = false;
@@ -245,10 +184,7 @@ impl Cli {
                          USAGE: {experiment} [--seeds N] [--grid full|smoke] [--threads N]\n\
                          {overrides}\
                          \x20                 [--round-ms MS] [--gst MS] [--delay-dist DIST]\n\
-                         \x20                 [--workers N] [--worker-cmd CMD]\n\
-                         \x20                 [--format md,csv,json|all] [--out DIR]\n\
-                         \x20      {experiment} --worker   (serve the distributed wire protocol;\n\
-                         \x20                 see docs/DISTRIBUTED.md)"
+                         \x20                 [--format md,csv,json|all] [--out DIR]"
                     );
                     std::process::exit(0);
                 }
@@ -322,10 +258,8 @@ impl Cli {
         })
     }
 
-    /// Executes the sweeps on the configured worker count — in-process
-    /// threads, or (under `--workers`) a crash-recovering pool of worker
-    /// subprocesses producing byte-identical reports — applying every
-    /// grid-wide override to every scenario first.
+    /// Executes the sweeps on [`Cli::threads`] in-process threads, applying
+    /// every grid-wide override to every scenario first.
     pub fn run(&self, mut sweeps: Vec<Sweep>) -> Vec<SweepReport> {
         for scenario in sweeps.iter_mut().flat_map(|sweep| &mut sweep.scenarios) {
             for (key, value) in &self.overrides {
@@ -333,26 +267,13 @@ impl Cli {
             }
         }
         let start = Instant::now();
-        let (reports, how) = match self.workers {
-            Some(workers) => {
-                let worker_cmd = match self.worker_cmd.clone() {
-                    Some(cmd) => cmd,
-                    None => dist::self_worker_cmd().unwrap_or_else(|e| die(&e)),
-                };
-                let cfg = DistConfig::new(workers, worker_cmd);
-                let reports = dist::run_sweeps(&sweeps, &cfg).unwrap_or_else(|e| die(&e));
-                (reports, format!("{workers} worker process(es)"))
-            }
-            None => (
-                sweeps.iter().map(|s| s.run(self.threads)).collect(),
-                format!("{} thread(s)", self.threads),
-            ),
-        };
+        let reports: Vec<SweepReport> = sweeps.iter().map(|s| s.run(self.threads)).collect();
         eprintln!(
-            "[{}] {} sweep(s), {} runs, {how}: {:.2?}",
+            "[{}] {} sweep(s), {} runs, {} thread(s): {:.2?}",
             self.experiment,
             reports.len(),
             reports.iter().flat_map(|r| r.cells.iter()).map(|c| c.runs.len()).sum::<usize>(),
+            self.threads,
             start.elapsed(),
         );
         // Quarantined cells are surfaced, never silently dropped: in the

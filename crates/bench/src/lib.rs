@@ -27,13 +27,10 @@
 //! compares two `BENCH_*.json` reports cell-by-cell against tolerance
 //! bands (the CI baseline-regression gate).
 //!
-//! Sweeps also run **distributed**: `--workers N` on any experiment binary
-//! fans the grid's cells out across worker subprocesses (`ba-bench worker`,
-//! or the binary itself in `--worker` mode) over the schema-versioned JSONL
-//! cell-stream [`wire`] protocol, with crash recovery in the [`dist`]
-//! coordinator — reports stay byte-identical to the in-process path at
-//! every worker count, including across worker deaths (see
-//! docs/DISTRIBUTED.md).
+//! A cell also travels as one line of the schema-versioned JSONL
+//! cell-stream [`wire`] protocol: a descriptor in, the `soak` stream's
+//! result line out, served by [`wire::worker_loop`] over any reader and
+//! writer (see docs/WIRE.md).
 //!
 //! Every binary is a thin renderer over the declarative [`Scenario`] /
 //! [`Sweep`] API: a [`Scenario`] describes one runnable configuration
@@ -69,7 +66,6 @@
 
 pub mod baseline;
 pub mod cli;
-pub mod dist;
 pub mod gauntlet;
 pub mod report;
 pub mod scenario;
@@ -79,7 +75,6 @@ pub mod wire;
 
 pub use baseline::{diff_reports, DiffReport, Tolerance};
 pub use cli::{Cli, Grid};
-pub use dist::{run_sweeps as run_sweeps_distributed, self_worker_cmd, DistConfig};
 pub use gauntlet::gauntlet_sweeps;
 pub use report::{
     header, quarantine_summary, row, to_csv, to_json, to_json_cell_line, CELL_STREAM_SCHEMA,
@@ -90,4 +85,4 @@ pub use scenario::{
 };
 pub use stats::Stats;
 pub use sweep::{default_threads, CellError, CellReport, RunRecord, Sweep, SweepReport};
-pub use wire::{CellDescriptor, FailMode, FailPlan, WireError, WorkerReply};
+pub use wire::{CellDescriptor, WireError, WorkerReply};

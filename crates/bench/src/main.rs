@@ -1,11 +1,9 @@
-//! The `ba-bench` tool binary — report maintenance and distributed-worker
-//! subcommands.
+//! The `ba-bench` tool binary — report maintenance.
 //!
 //! ```text
 //! ba-bench diff <baseline.json> <candidate.json>
 //!               [--abs-tol X] [--rel-tol Y] [--ignore m1,m2]
 //!               [--ignore-observable GLOB] [--quiet]
-//! ba-bench worker [--fail-after N] [--fail-mode exit|abort|kill]
 //! ```
 //!
 //! `diff` compares two `BENCH_*.json` reports (schema
@@ -17,62 +15,25 @@
 //! `--ignore-observable`) are glob patterns: `--ignore-observable
 //! 'latency_*'` exempts every wall-clock latency observable at once. See
 //! EXPERIMENTS.md ("Baselines") for the regeneration workflow.
-//!
-//! `worker` serves the distributed sweep wire protocol (schema
-//! `ba-bench/cell-stream/v1`) on stdin/stdout: one cell descriptor in, one
-//! flushed result line out, until EOF — the subprocess an experiment
-//! binary's `--workers N` coordinator drives. `--fail-after`/`--fail-mode`
-//! are the fault-injection hooks the crash-recovery tests and the CI
-//! kill-a-worker step use: complete N cells, then die mid-cell without
-//! replying. See docs/DISTRIBUTED.md.
 
 use ba_bench::baseline::{diff_reports, DriftKind, Tolerance};
-use ba_bench::wire::{worker_main, FailMode, FailPlan};
 
 fn main() {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
         Some("diff") => diff_cmd(args.collect()),
-        Some("worker") => std::process::exit(worker_cmd(args.collect())),
         Some("--help") | Some("-h") | None => {
             println!(
-                "ba-bench — report maintenance and distributed-worker tool\n\n\
+                "ba-bench — report maintenance tool\n\n\
                  USAGE:\n  ba-bench diff <baseline.json> <candidate.json>\n\
                  \x20              [--abs-tol X] [--rel-tol Y] [--ignore m1,m2]\n\
-                 \x20              [--ignore-observable GLOB] [--quiet]\n\
-                 \x20 ba-bench worker [--fail-after N] [--fail-mode exit|abort|kill]\n\n\
+                 \x20              [--ignore-observable GLOB] [--quiet]\n\n\
                  diff exits 0 when the candidate matches the baseline within tolerance,\n\
-                 1 on drift, 2 on usage/IO errors. worker serves the distributed sweep\n\
-                 wire protocol on stdin/stdout (see docs/DISTRIBUTED.md)."
+                 1 on drift, 2 on usage/IO errors."
             );
         }
         Some(other) => die(&format!("unknown subcommand {other:?} (try --help)")),
     }
-}
-
-fn worker_cmd(args: Vec<String>) -> i32 {
-    let mut fail: Option<FailPlan> = None;
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        let mut value =
-            |flag: &str| iter.next().unwrap_or_else(|| die(&format!("{flag} needs a value")));
-        match arg.as_str() {
-            "--fail-after" => {
-                let after: u64 = value("--fail-after")
-                    .parse()
-                    .unwrap_or_else(|_| die("--fail-after: not a number"));
-                fail = Some(FailPlan::with_after(fail, after));
-            }
-            "--fail-mode" => {
-                let raw = value("--fail-mode");
-                let mode = FailMode::parse(&raw)
-                    .unwrap_or_else(|| die(&format!("--fail-mode: unknown mode {raw:?}")));
-                fail = Some(FailPlan::with_mode(fail, mode));
-            }
-            other => die(&format!("unknown worker flag {other:?}")),
-        }
-    }
-    worker_main(fail)
 }
 
 fn diff_cmd(args: Vec<String>) {

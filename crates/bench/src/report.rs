@@ -99,7 +99,7 @@ fn scenario_obj(cell: &CellReport) -> String {
 /// A run's observables with repeated names **grouped** in first-occurrence
 /// order: each distinct name once, with all its rendered samples in
 /// recording order — the canonical order every renderer (JSON, CSV) and the
-/// distributed wire share.
+/// cell-stream wire share.
 fn grouped(run: &RunRecord) -> Vec<(&str, Vec<String>)> {
     let mut groups: Vec<(&str, Vec<String>)> = Vec::new();
     for (name, value) in &run.values {
@@ -136,13 +136,13 @@ fn error_obj(err: &crate::sweep::CellError) -> String {
 
 /// The schema tag of the JSONL **cell-stream** format: one self-describing
 /// JSON line per finished cell. The same line is both the `soak` binary's
-/// on-disk stream unit and the distributed engine's worker→coordinator
-/// result message (see `crate::wire` and docs/DISTRIBUTED.md).
+/// on-disk stream unit and [`crate::wire::worker_loop`]'s reply (see
+/// docs/WIRE.md).
 pub const CELL_STREAM_SCHEMA: &str = "ba-bench/cell-stream/v1";
 
 /// Renders one executed cell as a single JSON line (no trailing newline) —
-/// the cell-stream wire unit shared by the `soak` binary and the
-/// distributed sweep engine. The line carries the schema version, a message
+/// the cell-stream wire unit shared by the `soak` binary and
+/// [`crate::wire::worker_loop`]. The line carries the schema version, a message
 /// type, a stream-scoped cell id, the sweep title, and the soak pass
 /// number, so the stream is self-describing even when truncated by a kill.
 pub fn to_json_cell_line(sweep: &str, id: u64, pass: u64, cell: &CellReport) -> String {
@@ -188,7 +188,7 @@ pub fn to_json(experiment: &str, reports: &[SweepReport]) -> String {
             }
             // Quarantined cells carry their structured error record instead
             // of being silently rendered as an empty run list. Clean cells
-            // render byte-identically to the pre-distributed format.
+            // carry no `error` member at all.
             match &cell.error {
                 Some(err) => {
                     out.push_str("          ],\n");
@@ -209,7 +209,7 @@ pub fn to_json(experiment: &str, reports: &[SweepReport]) -> String {
 /// `sweep,scenario,seed,metric,value` (one line per recorded observable).
 ///
 /// Repeated observable names render **grouped** in first-occurrence order
-/// — the same canonical order the JSON writer and the distributed wire
+/// — the same canonical order the JSON writer and the cell-stream wire
 /// use — so renderings are identical whether a record was produced
 /// in-process or decoded off the wire (decoding cannot recover an
 /// interleaved recording order, and no renderer depends on one).
@@ -245,8 +245,8 @@ pub fn to_csv(reports: &[SweepReport]) -> String {
 /// Markdown rendering of every quarantined cell across `reports`: a count
 /// line plus one `sweep/label` line per cell, or `None` when the run is
 /// clean. The shared CLI prints this right after execution (ahead of the
-/// binaries' own tables) and mirrors it to stderr, so a distributed run
-/// never silently omits work it failed to complete.
+/// binaries' own tables) and mirrors it to stderr, so a run never silently
+/// omits work it failed to complete.
 pub fn quarantine_summary(reports: &[SweepReport]) -> Option<String> {
     let quarantined: Vec<(&str, &CellReport)> = reports
         .iter()
@@ -288,7 +288,7 @@ mod tests {
         let cell = CellReport {
             scenario,
             runs: Vec::new(),
-            error: Some(CellError { attempts: 2, detail: "worker died (signal 9)".into() }),
+            error: Some(CellError { attempts: 1, detail: "tcp peer 3 unreachable".into() }),
         };
         SweepReport { title: "t".into(), seeds: 2, cells: vec![cell] }
     }
@@ -298,13 +298,13 @@ mod tests {
         let report = quarantined_report();
         let json = to_json("exp", std::slice::from_ref(&report));
         assert!(
-            json.contains("\"error\": {\"attempts\": 2, \"detail\": \"worker died (signal 9)\"}")
+            json.contains("\"error\": {\"attempts\": 1, \"detail\": \"tcp peer 3 unreachable\"}")
         );
         let line = to_json_cell_line("t", 0, 0, &report.cells[0]);
-        assert!(line.contains("\"error\": {\"attempts\": 2"));
+        assert!(line.contains("\"error\": {\"attempts\": 1"));
         let summary = quarantine_summary(std::slice::from_ref(&report)).expect("has errors");
         assert!(summary.starts_with("1 quarantined cell(s)"));
-        assert!(summary.contains("t/cell: 2 failed attempt(s)"));
+        assert!(summary.contains("t/cell: 1 failed attempt(s)"));
     }
 
     #[test]

@@ -15,7 +15,7 @@ use crate::scenario::{Scenario, SharedElig};
 use crate::stats::Stats;
 
 /// An observable name: a `&'static str` for records produced in-process,
-/// an owned string for records decoded off the distributed wire.
+/// an owned string for records decoded off the cell-stream wire.
 pub type ObsName = Cow<'static, str>;
 
 /// The named observables recorded by one (scenario, seed) execution.
@@ -64,15 +64,15 @@ impl RunRecord {
 }
 
 /// A structured record of a quarantined cell: the cell's work never
-/// completed because every dispatch attempt killed the worker executing it
-/// (see `crate::dist`), or because its transport failed unrecoverably
-/// mid-run or its lazy live set broke its premise (a
-/// [`ba_sim::structured_failure`] caught by [`catch_transport`]).
-/// Quarantined cells surface in the markdown and JSON renderers instead of
-/// silently vanishing.
+/// completed because its transport failed unrecoverably mid-run or its
+/// lazy live set broke its premise (a [`ba_sim::structured_failure`]
+/// caught by [`catch_transport`]). Quarantined cells surface in the
+/// markdown and JSON renderers instead of silently vanishing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellError {
-    /// Worker deaths attributed to this cell before it was quarantined.
+    /// Executions of the cell that failed before it was quarantined.
+    /// [`catch_transport`] quarantines at the first, so this is always 1;
+    /// it stays a member of report schema v1's `error` object.
     pub attempts: u32,
     /// Human-readable description of the last observed failure.
     pub detail: String,
@@ -102,8 +102,9 @@ pub struct CellReport {
     pub scenario: Scenario,
     /// Per-seed records, ordered by seed (empty for a quarantined cell).
     pub runs: Vec<RunRecord>,
-    /// The quarantine record, when the distributed coordinator gave up on
-    /// this cell (`None` for every successfully executed cell).
+    /// The quarantine record, when [`catch_transport`] caught a structured
+    /// failure in one of this cell's runs (`None` for every successfully
+    /// executed cell).
     pub error: Option<CellError>,
 }
 

@@ -1,34 +1,28 @@
-//! The distributed sweep **wire protocol** (schema
-//! [`CELL_STREAM_SCHEMA`] = `ba-bench/cell-stream/v1`).
+//! The cell-stream **wire protocol** (schema [`CELL_STREAM_SCHEMA`] =
+//! `ba-bench/cell-stream/v1`) and the in-memory worker loop that serves it
+//! (see docs/WIRE.md for the field reference).
 //!
-//! One JSON line per message, flushed per line, over a worker subprocess's
-//! stdin/stdout pipes (see `crate::dist` for the coordinator and
-//! docs/DISTRIBUTED.md for the field reference):
+//! One JSON line per message:
 //!
-//! * **coordinator → worker**: a *cell descriptor* — a fully self-contained
-//!   serialization of one [`Scenario`] plus the sweep title and seed count,
-//!   enough to execute the cell with no shared state. Every axis of the
-//!   scenario round-trips losslessly (`u64` payloads travel as decimal
-//!   strings so values above 2⁵³ survive the JSON `f64` number space;
-//!   `f64` payloads use Rust's shortest-roundtrip rendering, which parses
-//!   back to the identical bit pattern).
-//! * **worker → coordinator**: the finished cell as the same JSONL
-//!   cell-stream line the `soak` binary writes to disk
-//!   ([`crate::report::to_json_cell_line`]), or a structured `"error"`
-//!   refusal when a descriptor decodes but cannot be executed.
+//! * **descriptor**: a self-contained serialization of one [`Scenario`]
+//!   plus the sweep title and seed count, enough to execute the cell with
+//!   no shared state. Every axis of the scenario round-trips losslessly
+//!   (`u64` payloads travel as decimal strings so values above 2⁵³ survive
+//!   the JSON `f64` number space; `f64` payloads use Rust's
+//!   shortest-roundtrip rendering, which parses back to the identical bit
+//!   pattern).
+//! * **reply**: the finished cell as the same JSONL cell-stream line the
+//!   `soak` binary writes to disk ([`crate::report::to_json_cell_line`]),
+//!   or a structured `"error"` refusal when a descriptor decodes but cannot
+//!   be executed.
 //!
-//! Decoding is strict: a missing or mismatched schema tag, an unknown
-//! message type, a malformed field, or trailing garbage is a structured
-//! [`WireError`], never a panic — the coordinator treats a malformed reply
-//! as a worker failure and requeues the in-flight cell. The offline JSON
-//! parser is shared with `crate::baseline` (depth-limited, rejects
-//! trailing garbage).
-//!
-//! The worker loop ([`worker_loop`]) also carries the fault-injection test
-//! hooks ([`FailPlan`]): after completing `k` cells the worker consumes its
-//! next descriptor and dies *without replying* — by clean exit, `abort`, or
-//! (on Unix) `SIGKILL` — which is exactly the mid-cell crash the
-//! crash-recovery tests and the CI kill-a-worker step exercise.
+//! [`worker_loop`] reads descriptors from any [`BufRead`] and writes replies
+//! to any [`Write`]; the `benchmark/` crate's `gauntlet_wire` workload and
+//! the root baseline contract drive it over in-memory buffers. Decoding is
+//! strict: a missing or mismatched schema tag, an unknown message type, a
+//! malformed field, or trailing garbage is a structured [`WireError`],
+//! never a panic. The offline JSON parser is shared with `crate::baseline`
+//! (depth-limited, rejects trailing garbage).
 
 use std::fmt::Write as _;
 use std::io::{BufRead, Write};
@@ -38,7 +32,7 @@ use crate::report::{json_escape, to_json_cell_line, JsonEscaped, CELL_STREAM_SCH
 use crate::scenario::{Scenario, AXES};
 use crate::sweep::{RunRecord, Sweep};
 
-/// One unit of distributed work: a single sweep cell, self-contained.
+/// One unit of sweep work: a single cell, self-contained.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellDescriptor {
     /// Stream-scoped id echoed back by the worker's reply.
@@ -63,7 +57,7 @@ pub enum WorkerReply {
         runs: Vec<RunRecord>,
     },
     /// The worker decoded the line but refuses to execute it (e.g. an
-    /// unknown scenario axis from a newer coordinator).
+    /// unknown scenario axis from a newer encoder).
     Refusal {
         /// Echo of the descriptor id.
         id: u64,
@@ -190,7 +184,7 @@ fn dec_int(v: &Json, name: &'static str) -> Result<u64, WireError> {
 
 /// Decodes the scenario-spec object, one loop over [`AXES`] under one rule:
 /// an absent optional key keeps [`Scenario::new`]'s default
-/// (what a coordinator from before the axis existed meant), an absent
+/// (what an encoder from before the axis existed meant), an absent
 /// required key is [`WireError::Missing`], and a present key that is not a
 /// string in the row's grammar is [`WireError::Invalid`] naming it. The
 /// decoded scenario must also pass [`Scenario::check`]: a descriptor its
@@ -219,7 +213,7 @@ fn parse_line(line: &str) -> Result<Json, WireError> {
     Ok(v)
 }
 
-/// Decodes a coordinator → worker cell-descriptor line.
+/// Decodes a cell-descriptor line.
 pub fn decode_descriptor(line: &str) -> Result<CellDescriptor, WireError> {
     let v = parse_line(line)?;
     let got = v.get("type").and_then(Json::as_str).unwrap_or_default();
@@ -278,7 +272,7 @@ fn dec_run(v: &Json) -> Result<RunRecord, WireError> {
     Ok(record)
 }
 
-/// Decodes a worker → coordinator reply line (a cell-stream `result` or a
+/// Decodes a worker reply line (a cell-stream `result` or a
 /// structured `error` refusal).
 pub fn decode_reply(line: &str) -> Result<WorkerReply, WireError> {
     let v = parse_line(line)?;
@@ -303,75 +297,6 @@ pub fn decode_reply(line: &str) -> Result<WorkerReply, WireError> {
 // The worker loop
 // ---------------------------------------------------------------------------
 
-/// How an injected worker failure manifests (test/CI hook).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailMode {
-    /// Clean `exit(3)` without replying.
-    Exit,
-    /// `std::process::abort()` (SIGABRT on Unix).
-    Abort,
-    /// `SIGKILL` to self (Unix; falls back to abort elsewhere) — the
-    /// harshest mid-cell death: no destructors, no flush.
-    Kill,
-}
-
-impl FailMode {
-    /// Parses a `--fail-mode` / `--worker-fail-mode` value.
-    pub fn parse(s: &str) -> Option<FailMode> {
-        match s {
-            "exit" => Some(FailMode::Exit),
-            "abort" => Some(FailMode::Abort),
-            "kill" => Some(FailMode::Kill),
-            _ => None,
-        }
-    }
-}
-
-/// The fault-injection plan of a worker: complete `after` cells, then die
-/// mid-cell (descriptor consumed, no reply emitted) in the given mode.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FailPlan {
-    /// Cells to complete before dying.
-    pub after: u64,
-    /// How to die.
-    pub mode: FailMode,
-}
-
-impl FailPlan {
-    /// Folds a `--fail-after N` flag into an accumulating plan (the two
-    /// fail flags may arrive in either order; defaults: die immediately,
-    /// by clean exit).
-    pub fn with_after(prev: Option<FailPlan>, after: u64) -> FailPlan {
-        FailPlan { after, mode: prev.map_or(FailMode::Exit, |plan| plan.mode) }
-    }
-
-    /// Folds a `--fail-mode M` flag into an accumulating plan.
-    pub fn with_mode(prev: Option<FailPlan>, mode: FailMode) -> FailPlan {
-        FailPlan { after: prev.map_or(0, |plan| plan.after), mode }
-    }
-}
-
-fn die_as_planned(mode: FailMode) -> ! {
-    match mode {
-        FailMode::Exit => std::process::exit(3),
-        FailMode::Abort => std::process::abort(),
-        FailMode::Kill => kill_self(),
-    }
-}
-
-#[cfg(unix)]
-fn kill_self() -> ! {
-    // No libc in the workspace: raise SIGKILL through the coreutils `kill`.
-    let _ =
-        std::process::Command::new("kill").arg("-9").arg(std::process::id().to_string()).status();
-    std::process::abort() // unreachable when the signal lands
-}
-
-#[cfg(not(unix))]
-fn kill_self() -> ! {
-    std::process::abort()
-}
-
 /// Best-effort id extraction from a line that failed descriptor decoding,
 /// so the worker can refuse the cell instead of dying on it.
 fn salvage_id(line: &str) -> Option<u64> {
@@ -379,13 +304,20 @@ fn salvage_id(line: &str) -> Option<u64> {
 }
 
 /// The worker side of the protocol: reads cell descriptors line by line,
-/// executes each cell exactly as the in-process engine would (one worker
-/// thread; the run seed is `seed_offset + index`, so results are identical
-/// to any other execution of the same cell), and emits one flushed
-/// cell-stream line per finished cell. Returns the process exit code:
-/// `0` on clean EOF, `4` on an unrecoverable stream error.
-pub fn worker_loop(input: impl BufRead, mut output: impl Write, fail: Option<FailPlan>) -> i32 {
-    let mut completed = 0u64;
+/// executes each cell exactly as [`Sweep::run`] would (one thread; the run
+/// seed is `seed_offset + index`, so results are identical to any other
+/// execution of the same cell), and emits one flushed cell-stream line per
+/// finished cell. Returns `0` on clean EOF, `4` on an unrecoverable stream
+/// error.
+///
+/// The third parameter is always `None`: it only keeps the three-argument
+/// calls of the `benchmark/` crate compiling, and goes when those callers
+/// drop it (ROADMAP item 17).
+pub fn worker_loop(
+    input: impl BufRead,
+    mut output: impl Write,
+    _always_none: Option<std::convert::Infallible>,
+) -> i32 {
     for line in input.lines() {
         let Ok(line) = line else { return 4 };
         if line.trim().is_empty() {
@@ -395,7 +327,7 @@ pub fn worker_loop(input: impl BufRead, mut output: impl Write, fail: Option<Fai
             Ok(d) => d,
             Err(e) => match salvage_id(&line) {
                 // The line carried an id: refuse the cell in-band and keep
-                // serving (the coordinator quarantines it).
+                // serving.
                 Some(id) => {
                     if writeln!(output, "{}", encode_refusal(id, &e.to_string())).is_err()
                         || output.flush().is_err()
@@ -411,30 +343,14 @@ pub fn worker_loop(input: impl BufRead, mut output: impl Write, fail: Option<Fai
                 }
             },
         };
-        if let Some(plan) = fail {
-            if completed >= plan.after {
-                // Mid-cell: the descriptor is consumed but no reply will
-                // ever be emitted — the crash the coordinator recovers from.
-                die_as_planned(plan.mode);
-            }
-        }
         let sweep = Sweep::new(desc.sweep.clone(), desc.seeds, vec![desc.scenario]);
         let report = sweep.run(1);
         let reply = to_json_cell_line(&desc.sweep, desc.id, 0, &report.cells[0]);
         if writeln!(output, "{reply}").is_err() || output.flush().is_err() {
             return 4;
         }
-        completed += 1;
     }
     0
-}
-
-/// [`worker_loop`] over the process's stdin/stdout (the `ba-bench worker`
-/// subcommand and the experiment binaries' `--worker` mode).
-pub fn worker_main(fail: Option<FailPlan>) -> i32 {
-    let stdin = std::io::stdin();
-    let stdout = std::io::stdout();
-    worker_loop(stdin.lock(), stdout.lock(), fail)
 }
 
 #[cfg(test)]

@@ -6,7 +6,10 @@
 //! * arbitrary byte soup never panics the parser — it returns `Err` (or a
 //!   valid value, for the rare accidental JSON);
 //! * a depth-nesting bomb is rejected by the depth limit instead of
-//!   overflowing the parser's stack.
+//!   overflowing the parser's stack;
+//! * a long string of multi-byte characters parses in linear time;
+//! * every committed smoke baseline parses whole, and its truncated
+//!   prefixes are `Err`, never a panic.
 
 use ba_bench::baseline::{parse_json, Json, MAX_JSON_DEPTH};
 use ba_bench::{
@@ -145,6 +148,57 @@ fn depth_bomb_returns_err_instead_of_overflowing() {
     // Same through the object path, and with a syntactically valid bomb.
     let obj_bomb = format!("{}1{}", "{\"k\":[".repeat(200_000), "]}".repeat(200_000));
     assert!(parse_json(&obj_bomb).is_err());
+}
+
+#[test]
+fn wide_string_parses_in_linear_time() {
+    // 1 MiB of a two-byte character. A parser that re-validates the rest of
+    // the input at every multi-byte character takes minutes here.
+    let wide = "é".repeat(1 << 19);
+    let start = std::time::Instant::now();
+    let parsed = parse_json(&format!("\"{wide}\"")).expect("a plain string");
+    let elapsed = start.elapsed();
+    assert_eq!(parsed.as_str(), Some(wide.as_str()));
+    assert!(elapsed < std::time::Duration::from_secs(2), "1 MiB of é took {elapsed:?}");
+    // Every UTF-8 width decodes to itself, between escapes too.
+    let mixed = "aé€🦀\\n\\u0007z";
+    let want = "aé€🦀\n\u{7}z";
+    assert_eq!(parse_json(&format!("\"{mixed}\"")).unwrap().as_str(), Some(want));
+}
+
+/// The committed smoke baselines, as `(file name, contents)`.
+fn smoke_baselines() -> Vec<(String, String)> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../baselines/smoke");
+    let mut files: Vec<(String, String)> = std::fs::read_dir(dir)
+        .expect("baselines/smoke is readable")
+        .map(|entry| entry.expect("a directory entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .map(|path| {
+            let name = path.file_name().expect("a file").to_string_lossy().into_owned();
+            (name, std::fs::read_to_string(&path).expect("a readable baseline"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn truncated_baselines_are_errors_not_panics() {
+    let baselines = smoke_baselines();
+    assert_eq!(baselines.len(), 14, "one smoke baseline per experiment");
+    for (name, text) in &baselines {
+        assert!(parse_json(text).is_ok(), "{name} must parse whole");
+        // About 200 evenly spaced prefixes, each cut at a char boundary and
+        // short of the closing brace.
+        let body = text.trim_end();
+        for k in 0..200 {
+            let mut cut = k * body.len() / 200;
+            while !body.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            assert!(parse_json(&body[..cut]).is_err(), "{name} cut at byte {cut} parsed");
+        }
+    }
 }
 
 #[test]

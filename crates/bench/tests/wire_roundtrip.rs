@@ -1,4 +1,4 @@
-//! Property tests for the distributed wire protocol and the axis grammars
+//! Property tests for the cell-stream wire protocol and the axis grammars
 //! under it: arbitrary cell descriptors round-trip losslessly through
 //! encode → decode (every scenario axis, including `u64` payloads beyond
 //! 2⁵³ and labels full of JSON-hostile characters), every axis row's

@@ -4,7 +4,8 @@
 //! moves one honest bit, round, corruption or verdict in any family fails
 //! `cargo test -q` at the root, not only the CI smoke-diff. The same cells
 //! through the worker wire (descriptor codec, worker loop, reply decoder)
-//! must match it too, so the codec is guarded where the engines are. The
+//! must match it too — the path the `benchmark/` crate's `gauntlet_wire`
+//! workload times — so the codec is guarded where the engines are. The
 //! matrix-edge check `e11_gauntlet` asserts runs here too, clean and under
 //! a faulted replay.
 
@@ -65,8 +66,8 @@ fn e11_smoke_gauntlet_over_a_lazy_live_set_matches_modulo_gauges() {
 
 /// The wire slice: every cell as a descriptor line through one worker loop
 /// over in-memory buffers, the replies decoded and reassembled in grid
-/// order. Exact, with no observable ignored — what `--workers` does, minus
-/// the pipes.
+/// order. Exact, with no observable ignored — the `gauntlet_wire` benchmark
+/// workload's path.
 #[test]
 fn e11_smoke_gauntlet_over_the_worker_wire_matches_the_committed_baseline() {
     let sweeps = smoke_gauntlet("population", "dense");
